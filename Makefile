@@ -8,6 +8,9 @@
 #                        (override the output: make bench-compare BENCH_OUT=x.json)
 #   make bench-trend   - per-benchmark minimums across the whole committed
 #                        BENCH_*.json series (informational, no gate)
+#   make perfbench     - the service benchmark: perfbench/run.py on all
+#                        four workloads against a real daemon (seed 1,
+#                        24 s each; fails if an output check fails)
 #   make coverage      - tests under pytest-cov: fail under $(COV_MIN)%
 #                        line coverage of repro, HTML report in htmlcov/
 #   make verify-incremental - the incremental≡full abstract-chase
@@ -35,8 +38,8 @@ BENCH_OUT ?= BENCH_pr10.json
 COV_MIN ?= 85
 SERVE_PORT ?= 8765
 
-.PHONY: test bench-smoke bench bench-compare bench-trend coverage verify \
-	verify-incremental verify-server serve lint analyze \
+.PHONY: test bench-smoke bench bench-compare bench-trend perfbench coverage \
+	verify verify-incremental verify-server serve lint analyze \
 	install-editable install
 
 test:
@@ -56,6 +59,12 @@ bench-compare:
 
 bench-trend:
 	$(PYTHON) benchmarks/compare_bench.py --trend
+
+perfbench:
+	for workload in delta_churn event_stream query_mix cold_exchange; do \
+		$(PYTHON) perfbench/run.py --workload $$workload \
+			--seed 1 --seconds 24 --trace 0 || exit 1; \
+	done
 
 coverage:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -q \

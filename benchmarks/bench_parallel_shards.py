@@ -141,20 +141,7 @@ def test_parallel_speedup_summary(benchmark, abstract, pool):
 # is the real per-run parent cost).
 
 
-def _shard_blocks(abstract):
-    from repro.abstract_view.abstract_chase import _partition
-    from repro.chase.nulls import NullFactory
-
-    blocks = _partition(abstract.regions(), SHARDS)
-    base = NullFactory()
-    generation = base.new_generation()
-    factories = [
-        base.for_shard(index, generation) for index in range(len(blocks))
-    ]
-    return blocks, factories
-
-
-def _encode_tasks(abstract, blocks, factories):
+def _encode_tasks(abstract, blocks):
     from repro.serialize import shard_codec
     from repro.temporal.interval import Interval
 
@@ -170,8 +157,6 @@ def _encode_tasks(abstract, blocks, factories):
             shard_codec.encode_shard_task(
                 shard_codec.ShardTask(
                     shard=index,
-                    prefix=factories[index].prefix,
-                    counter=factories[index].issued,
                     variant="standard",
                     engine="delta",
                     incremental=True,
@@ -188,18 +173,19 @@ def test_parent_wire_share(benchmark, abstract):
     from repro.abstract_view.abstract_chase import (
         _BlockOutcome,
         _merge,
+        _partition,
         _process_worker,
     )
     from repro.serialize import shard_codec
 
-    blocks, factories = _shard_blocks(abstract)
-    payloads = _encode_tasks(abstract, blocks, factories)
+    blocks = _partition(abstract.regions(), SHARDS)
+    payloads = _encode_tasks(abstract, blocks)
     # Worker compute, once, untimed: the timed region below replays only
     # the parent's wire work against these recorded outcome payloads.
     raw_outcomes = [_process_worker(payload) for payload in payloads]
 
     def parent_share():
-        _encode_tasks(abstract, blocks, factories)
+        _encode_tasks(abstract, blocks)
         outcomes = []
         for raw in raw_outcomes:
             decoded = shard_codec.decode_shard_outcome(raw)

@@ -89,8 +89,8 @@ def test_replay_melting_org_chase(benchmark, people):
     ``melting_org_history`` never adds a fact after time 0, so every
     region past the first replays the previous region's firing log with
     no live matches — the workload where a fully-replayed region's cost
-    is dominated by the *output* floor (target build, trace, null
-    renaming) that copy-on-write region results eliminate.
+    is dominated by the *output* floor (target build, trace) that
+    copy-on-write region results eliminate.
     """
     abstract = semantics(melting_org_history(people).instance)
     result = benchmark(

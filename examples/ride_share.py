@@ -10,8 +10,9 @@ egd steps that merged the σ1-nulls with the recorded fares.
 
 It also demonstrates the engine's **region scheduler**: the abstract
 (snapshot-wise) chase of the same scenario is partitioned across shards
-— each shard chases a contiguous block of constancy regions under its
-own null namespace — and the per-shard timing report is printed.
+— each shard chases a contiguous block of constancy regions — and the
+per-shard timing report is printed.  Null names are Skolem terms of
+their firings, so the merged result equals the unsharded one exactly.
 
 Run:  python examples/ride_share.py [--shards N]
           [--executor serial|threads|processes]
@@ -97,16 +98,15 @@ def main() -> None:
     assert sharded.succeeded
 
     print(f"serial run : {serial_ms:7.2f} ms "
-          f"({len(serial.region_results)} regions, one null namespace)")
+          f"({len(serial.region_results)} regions, one shard)")
     print(f"sharded run: {sharded_ms:7.2f} ms, per shard:")
     for shard in sharded.shard_reports:
         print(
             f"  shard {shard.shard}: {shard.regions:>3} regions  "
-            f"{shard.nulls_issued:>3} nulls (namespace Ns{shard.shard}_*)  "
             f"{shard.seconds * 1000:7.2f} ms"
         )
-    print("(shard null namespaces are disjoint by construction; the "
-          "merged solution is the serial one up to that renaming)")
+    identical = sharded.target == serial.target
+    print(f"sharded result identical to the serial one: {identical}")
 
 
 if __name__ == "__main__":

@@ -74,7 +74,7 @@ from repro.relational import (
     parse_conjunction,
 )
 from repro.dependencies import EGD, DataExchangeSetting, SourceToTargetTGD
-from repro.chase import NullFactory, chase_snapshot, core_of, snapshot_satisfies
+from repro.chase import chase_snapshot, core_of, snapshot_satisfies
 from repro.abstract_view import (
     AbstractInstance,
     TemplateFact,
@@ -166,7 +166,6 @@ __all__ = [
     "DataExchangeSetting",
     "SourceToTargetTGD",
     # chase
-    "NullFactory",
     "chase_snapshot",
     "core_of",
     "snapshot_satisfies",

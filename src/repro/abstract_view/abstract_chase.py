@@ -13,17 +13,16 @@ chase results are equal up to the per-snapshot renaming of fresh nulls —
 which is exactly what an interval-annotated null family over the region
 denotes.
 
-Because regions are chased independently, they also **shard**: the
-region scheduler partitions the region list into contiguous blocks, runs
-each block with its own namespaced
-:class:`~repro.chase.nulls.NullFactory` (shard *i* issues ``Ns<i>_1,
-Ns<i>_2, …`` — collision-free across shards by construction), and merges
-the per-region results back in timeline order.  The executor is
-pluggable: ``"serial"`` (default) runs the shards in a loop,
-``"threads"`` uses a ``concurrent.futures`` thread pool, and any
-``Executor`` instance may be passed directly.  ``shards=1`` with the
-default factory is byte-identical to the historical sequential chase
-(one shared counter across all regions).
+Fresh nulls carry Skolem names (:mod:`repro.chase.nulls`), a pure
+function of their firing, and each region's nulls are annotated with
+that region, so nulls of different snapshots never coincide.  Because a
+region's output therefore depends on nothing but the region, regions
+also **shard**: the region scheduler partitions the region list into
+contiguous blocks, chases each block on its own, and merges the
+per-region results back in timeline order — byte-identical to the
+unsharded run.  The executor is pluggable: ``"serial"`` (default) runs
+the shards in a loop, ``"threads"`` uses a ``concurrent.futures`` thread
+pool, and any ``Executor`` instance may be passed directly.
 
 Within each shard the regions are, by default, chased **incrementally**:
 adjacent region snapshots differ by few facts, so each region replays the
@@ -31,7 +30,7 @@ previous region's recorded tgd firing sequence wherever the snapshot
 diff left it intact, and falls through to live decisions only where the
 streams deviate; the egd fixpoint runs the live semi-naive engine either
 way (see :mod:`repro.chase.incremental`).  The incremental schedule is
-byte-identical to the from-scratch one — null numbering, traces and
+byte-identical to the from-scratch one — null names, traces and
 failures included — so it is safe as the default;
 ``incremental=False`` restores the from-scratch reference schedule.
 
@@ -56,7 +55,6 @@ from repro.errors import ChaseFailureError, InstanceError, ShardExecutionError
 from repro.abstract_view.abstract_instance import AbstractInstance, TemplateFact
 from repro.chase.engine import EngineMode
 from repro.chase.incremental import IncrementalRegionChaser, RegionReuseStats
-from repro.chase.nulls import NullFactory
 from repro.chase.standard import ChaseVariant, SnapshotChaseResult, chase_snapshot
 from repro.chase.trace import FailureRecord
 from repro.dependencies.mapping import DataExchangeSetting
@@ -79,7 +77,6 @@ class ShardReport:
     shard: int
     regions: int
     seconds: float
-    nulls_issued: int
     # Aggregated cross-region reuse of the shard's incremental chain;
     # None when the from-scratch schedule ran (incremental=False).
     reuse: RegionReuseStats | None = None
@@ -187,7 +184,6 @@ def _chase_regions(
     source: AbstractInstance,
     regions: tuple[Interval, ...],
     setting: DataExchangeSetting,
-    nulls: NullFactory,
     variant: ChaseVariant,
     engine: EngineMode,
     incremental: bool,
@@ -210,7 +206,7 @@ def _chase_regions(
     region_stats: dict[Interval, RegionReuseStats] = {}
     region: Interval | None = None
     chaser = (
-        IncrementalRegionChaser(setting, nulls, variant, engine)
+        IncrementalRegionChaser(setting, variant, engine)
         if incremental
         else None
     )
@@ -238,11 +234,7 @@ def _chase_regions(
             else:
                 _region, snapshot = item
                 result = chase_snapshot(
-                    snapshot,
-                    setting,
-                    null_factory=nulls,
-                    variant=variant,
-                    engine=engine,
+                    snapshot, setting, variant=variant, engine=engine
                 )
         except Exception as exc:  # noqa: BLE001 — surfaced with shard context
             return results, region_stats, ShardExecutionError(
@@ -295,7 +287,7 @@ def _region_templates(
             for value in item.args
         )
         # Trusted: fresh nulls were re-annotated with the region just
-        # above, and factory null names never contain '@'.
+        # above, and Skolem null names never contain '@'.
         templates.append(TemplateFact.make(item.relation, args, region))
     return templates
 
@@ -323,7 +315,6 @@ def _execute_block(
     source: AbstractInstance,
     block: tuple[Interval, ...],
     setting: DataExchangeSetting,
-    factory: NullFactory,
     variant: ChaseVariant,
     engine: EngineMode,
     incremental: bool,
@@ -341,7 +332,6 @@ def _execute_block(
         source,
         block,
         setting,
-        factory,
         variant,
         engine,
         incremental,
@@ -356,7 +346,6 @@ def _execute_block(
         shard=shard,
         regions=len(block_results),
         seconds=time.perf_counter() - started,
-        nulls_issued=factory.issued,
         reuse=reuse,
         remote=remote,
     )
@@ -383,7 +372,7 @@ def _process_worker(payload: bytes) -> bytes:
     """Chase one encoded shard task in a worker process.
 
     Decodes the :mod:`repro.serialize.shard_codec` task, rebuilds the
-    shard's source slice and null factory, runs the block exactly as an
+    shard's source slice, runs the block exactly as an
     in-process shard would, and encodes the outcome — traces included —
     for the parent.  ``REPRO_SHARD_CRASH=<shard>`` hard-kills the worker
     before chasing; it exists so tests can exercise the worker-death
@@ -396,13 +385,10 @@ def _process_worker(payload: bytes) -> bytes:
     if crash is not None and crash == str(task.shard):
         os._exit(17)
     source = AbstractInstance(task.templates)
-    factory = NullFactory(prefix=task.prefix)
-    factory.fast_forward(task.counter)
     outcome = _execute_block(
         source,
         task.regions,
         task.setting,
-        factory,
         task.variant,  # type: ignore[arg-type]
         task.engine,  # type: ignore[arg-type]
         task.incremental,
@@ -444,13 +430,10 @@ def _process_worker_shm(task_name: str, outcome_name: str) -> str:
     if crash is not None and crash == str(task.shard):
         os._exit(17)
     source = AbstractInstance(task.templates)
-    factory = NullFactory(prefix=task.prefix)
-    factory.fast_forward(task.counter)
     outcome = _execute_block(
         source,
         task.regions,
         task.setting,
-        factory,
         task.variant,  # type: ignore[arg-type]
         task.engine,  # type: ignore[arg-type]
         task.incremental,
@@ -475,7 +458,6 @@ def _process_worker_shm(task_name: str, outcome_name: str) -> str:
 def _run_blocks_in_processes(
     source: AbstractInstance,
     blocks: list[tuple[Interval, ...]],
-    factories: list[NullFactory],
     setting: DataExchangeSetting,
     variant: ChaseVariant,
     engine: EngineMode,
@@ -524,8 +506,6 @@ def _run_blocks_in_processes(
             shard_codec.encode_shard_task(
                 shard_codec.ShardTask(
                     shard=index,
-                    prefix=factories[index].prefix,
-                    counter=factories[index].issued,
                     variant=variant,
                     engine=engine,
                     incremental=incremental,
@@ -588,7 +568,6 @@ def _run_blocks_in_processes(
                             shard=index,
                             regions=0,
                             seconds=0.0,
-                            nulls_issued=0,
                             reuse=None,
                             remote=True,
                         ),
@@ -609,10 +588,6 @@ def _run_blocks_in_processes(
                     shm_transport.unlink(raw)
             else:
                 outcome = shard_codec.decode_shard_outcome(raw)
-            # Replay the worker's issuance count onto the parent-side
-            # factory so a shared base factory (shards=1) stays globally
-            # distinct across runs.
-            factories[index].fast_forward(outcome.report.nulls_issued)
             outcomes.append(
                 _BlockOutcome(
                     results=list(outcome.results),
@@ -642,7 +617,6 @@ def _run_blocks_in_processes(
 def abstract_chase(
     source: AbstractInstance,
     setting: DataExchangeSetting,
-    null_factory: NullFactory | None = None,
     variant: ChaseVariant = "standard",
     engine: EngineMode = "delta",
     shards: int = 1,
@@ -653,27 +627,20 @@ def abstract_chase(
     """``chase(Ia, M)`` on the finite representation.
 
     The source must be complete (constants only), as the paper assumes
-    for source instances.  With ``shards=1`` one shared null factory
-    keeps fresh null names globally distinct across regions, mirroring
-    the paper's requirement that nulls of different snapshots never
-    coincide — and the output is byte-identical to the historical
-    sequential implementation.  With ``shards > 1`` the regions are
-    partitioned into contiguous blocks, each block chases under its own
-    namespaced factory (``Ns<i>_…``, see
-    :meth:`NullFactory.for_shard`), and the per-region results merge
-    deterministically in timeline order; *executor* selects how blocks
+    for source instances.  With ``shards > 1`` the regions are
+    partitioned into contiguous blocks, each block chases on its own,
+    and the per-region results merge in timeline order; because null
+    names are Skolem terms of their firings, the output is
+    byte-identical to the unsharded run.  *executor* selects how blocks
     run (``"serial"``, ``"threads"``, ``"processes"``, or a
-    ``concurrent.futures`` executor instance).  Fresh-null *names* then
-    differ from the unsharded run, but the result is the same solution
-    up to that renaming.
+    ``concurrent.futures`` executor instance).
 
     ``"processes"`` is the only executor that runs CPU-bound shards in
     *parallel* (threads serialize on the GIL): each block ships to a
     worker process as a compact :mod:`repro.serialize.shard_codec`
-    payload — the block's source slice, the exchange setting, and the
-    shard's null-factory position — and the finished region results,
-    traces and reports ship back the same way, so the merged output is
-    byte-identical to the same sharded run on any other executor.
+    payload — the block's source slice and the exchange setting — and
+    the finished region results, traces and reports ship back the same
+    way, so the merged output is byte-identical on every executor.
     *workers* bounds the pool size (default: one worker per block,
     capped at the CPU count; it also caps the ``"threads"`` pool).
     Passing a ``ProcessPoolExecutor`` instance reuses your warm pool
@@ -695,25 +662,13 @@ def abstract_chase(
     if workers is not None and workers < 1:
         raise InstanceError(f"workers must be >= 1, got {workers}")
     regions = source.regions()
-    base_factory = null_factory if null_factory is not None else NullFactory()
-
-    if shards == 1:
-        blocks = [regions]
-        factories = [base_factory]
-    else:
-        blocks = _partition(regions, shards)
-        generation = base_factory.new_generation()
-        factories = [
-            base_factory.for_shard(index, generation)
-            for index in range(len(blocks))
-        ]
+    blocks = [regions] if shards == 1 else _partition(regions, shards)
 
     def run_block(index: int) -> _BlockOutcome:
         return _execute_block(
             source,
             blocks[index],
             setting,
-            factories[index],
             variant,
             engine,
             incremental,
@@ -726,7 +681,6 @@ def abstract_chase(
         outcomes, timings = _run_blocks_in_processes(
             source,
             blocks,
-            factories,
             setting,
             variant,
             engine,

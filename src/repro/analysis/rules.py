@@ -606,9 +606,11 @@ class SharedMemoryLifecycleRule(Rule):
 # TDX005 — no salted hashes in persisted artifacts
 # ---------------------------------------------------------------------------
 
-#: Modules whose output is persisted or crosses process boundaries.
+#: Modules whose output is persisted or crosses process boundaries
+#: (Skolem null names reach the shard wire, the cache and the spool).
 _PERSIST_MODULES = frozenset(
     {
+        "repro.chase.nulls",
         "repro.serialize.shard_codec",
         "repro.serialize.digest",
         "repro.serialize.jsonio",

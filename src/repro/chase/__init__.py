@@ -9,7 +9,7 @@
 from repro.chase.core import core_of, find_proper_endomorphism, is_core
 from repro.chase.engine import EgdTask, EngineMode, run_egd_fixpoint, run_tgd_pass
 from repro.chase.incremental import IncrementalRegionChaser, RegionReuseStats
-from repro.chase.nulls import NullFactory
+from repro.chase.nulls import NullNameCollisionError, skolem_names
 from repro.chase.standard import (
     SnapshotChaseResult,
     chase_snapshot,
@@ -37,7 +37,8 @@ __all__ = [
     "run_tgd_pass",
     "IncrementalRegionChaser",
     "RegionReuseStats",
-    "NullFactory",
+    "NullNameCollisionError",
+    "skolem_names",
     "SnapshotChaseResult",
     "chase_snapshot",
     "snapshot_satisfies",

@@ -228,7 +228,8 @@ def run_tgd_pass(domain: ChaseDomain, tasks: Iterable[object], trace: ChaseTrace
     The domain enumerates matches and decides per match whether the step
     fires (``fire_tgd`` returns ``None`` for matches whose rhs extension
     already exists — the *standard* variant's check); fired steps are
-    recorded in match order, which fixes fresh-null numbering.
+    recorded in match order.  Fresh-null names are Skolem terms of their
+    firings (:mod:`repro.chase.nulls`), so they do not depend on it.
     """
     for task in tasks:
         for assignment in domain.iter_tgd_matches(task):

@@ -13,7 +13,7 @@ bookkeeping (measured — see docs/architecture.md), and the target it
 runs on is identical either way.
 
 The hard requirement is that the incremental schedule is **byte-identical**
-to the from-scratch chase — null numbering, traces and failures included.
+to the from-scratch chase — null names, traces and failures included.
 Three structural facts make that possible:
 
 1. **Match streams are content-determined and patchable.**  A tgd's lhs
@@ -31,31 +31,29 @@ Three structural facts make that possible:
    multi-atom, three-plus atom joins) simply re-enumerate live —
    correct, just not accelerated.
 
-2. **Firing replay preserves null numbering.**  A surviving firing mints
-   exactly as many fresh nulls as the from-scratch firing would, in the
-   same stream position, so :meth:`NullFactory.reissue` replays the
-   recorded issuance transcript under the current counter and renames
-   the recorded rhs facts — fresh names, identical order.  Facts without
-   fresh nulls are reused as objects, hash and sort-key caches intact.
+2. **Replayed firings keep their nulls.**  A null's name is the Skolem
+   term of its firing (:mod:`repro.chase.nulls`), so a surviving firing
+   would mint exactly the recorded nulls: its recorded rhs facts are
+   reused as objects, hash and sort-key caches intact.
 
 3. **Fire/skip decisions and dedup outcomes replay until the streams
    deviate.**  Up to the first deviation of the region's processed match
-   sequence from the recorded one, the target is the recorded target's
-   image under the replay renaming ρ, so every recorded decision — the
+   sequence from the recorded one, the target equals the recorded
+   target at the same stream position, so every recorded decision — the
    fire/skip choice *and* which rhs facts were new to the target — is
    forced and is copied without probing the target at all.  Deviations
    split in two: purely *additive* ones (a diff-introduced match) leave
-   the target a superset of the ρ-image, so recorded skips stay forced
-   and only recorded firings need a live extension probe; *dropping*
-   ones (a dead recorded entry, a re-sorted stream) invalidate
-   everything, and every later decision is probed live against the
-   current target.  The rhs projection probes are seeded lazily at the
-   first live decision, so a fully-replayed region never maintains them.
+   the target a superset of the recorded one, so recorded skips stay
+   forced and only recorded firings need a live extension probe;
+   *dropping* ones (a dead recorded entry, a re-sorted stream)
+   invalidate everything, and every later decision is probed live
+   against the current target.  The rhs projection probes are seeded
+   lazily at the first live decision, so a fully-replayed region never
+   maintains them.
 
 Failures stay exact by construction, but as a belt-and-braces guarantee a
-replay-assisted region that *fails* rewinds the null factory and re-runs
-from scratch, so failure records can never drift from the reference
-schedule.
+replay-assisted region that *fails* re-runs from scratch, so failure
+records can never drift from the reference schedule.
 """
 
 from __future__ import annotations
@@ -64,10 +62,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.chase.engine import RhsProbe, run_egd_fixpoint
-from repro.chase.nulls import NullFactory
 from repro.chase.standard import (
     ChaseVariant,
     SnapshotChaseResult,
+    _skolem_nulls,
     _SnapshotDomain,
     _SnapshotTgdTask,
     _egd_tasks,
@@ -188,19 +186,11 @@ class RegionReuseStats:
 class _FiringRecord:
     """One fired tgd step, replayable against a later region."""
 
-    __slots__ = ("record", "facts", "null_fact_indices", "added_indices")
+    __slots__ = ("record", "facts")
 
-    def __init__(
-        self,
-        record: TgdStepRecord,
-        facts: tuple[Fact, ...],
-        null_fact_indices: tuple[int, ...],
-        added_indices: tuple[int, ...],
-    ) -> None:
+    def __init__(self, record: TgdStepRecord, facts: tuple[Fact, ...]) -> None:
         self.record = record          # as traced (assignment, added, fresh)
         self.facts = facts            # full rhs instantiation, pre-dedup
-        self.null_fact_indices = null_fact_indices  # facts carrying fresh nulls
-        self.added_indices = added_indices  # facts the target actually took
 
 
 class _MatchEntry:
@@ -238,21 +228,17 @@ class _RegionRecord:
         self.task_logs = task_logs
         self.outer_choices = outer_choices
         self.egd_clean = egd_clean
-        self._totals: tuple[int, int, int] | None = None
+        self._totals: tuple[int, int] | None = None
 
-    def totals(self) -> tuple[int, int, int]:
-        """``(matches, firings, fresh nulls)`` across all logs, cached."""
+    def totals(self) -> tuple[int, int]:
+        """``(matches, firings)`` across all logs, cached."""
         found = self._totals
         if found is None:
-            matches = firings = nulls = 0
+            matches = firings = 0
             for log in self.task_logs:
                 matches += len(log)
-                for entry in log:
-                    firing = entry.firing
-                    if firing is not None:
-                        firings += 1
-                        nulls += len(firing.record.fresh_nulls)
-            self._totals = found = (matches, firings, nulls)
+                firings += sum(entry.firing is not None for entry in log)
+            self._totals = found = (matches, firings)
         return found
 
 
@@ -377,68 +363,52 @@ def _insert_all(target: Instance, facts) -> None:
             max_arity[item.relation] = item.arity
 
 
+def _replay_firings(
+    log: list[_MatchEntry], target: Instance, trace: ChaseTrace
+) -> int:
+    """Re-apply a recorded stream's firings verbatim; returns their count.
+
+    Valid only where every recorded decision and dedup outcome is forced
+    (see :func:`_insert_all` for the target-side preconditions).
+    """
+    firings = 0
+    for entry in log:
+        recorded = entry.firing
+        if recorded is not None:
+            firings += 1
+            _insert_all(target, recorded.record.added_facts)
+            trace.record(recorded.record)
+    return firings
+
+
 class _ReplaySnapshotResult(SnapshotChaseResult):
     """A fully-replayed region's outcome as a copy-on-write view.
 
     When a region's every stream reuses the recorded log verbatim and
     the recorded egd fixpoint was a no-op, its result is the recorded
-    run's image under the replay renaming ρ — determined entirely by the
-    recorded log and the null counter at region start.  This view holds
-    exactly those two things; the target instance and the renamed trace
-    are built on first access, so a caller that never reads them (the
-    deferred merge of the parallel scheduler, coverage accounting) skips
-    the region's target build and null renaming entirely.
+    run's — determined entirely by the recorded log.  The target
+    instance and the trace are built on first access, so a caller that
+    never reads them (the deferred merge of the parallel scheduler,
+    coverage accounting) skips the region's target build entirely.
 
     Mutation goes through the ``target``/``trace`` setters, which
     simply replace the lazy view — copy-on-write at result granularity.
     """
 
-    def __init__(self, record: _RegionRecord, nulls: NullFactory) -> None:
+    def __init__(self, record: _RegionRecord) -> None:
         self._record = record
-        self._nulls = nulls  # private clone positioned at region start
         self._target: Instance | None = None
         self._trace: ChaseTrace | None = None
         self.failed = False
         self.failure = None
 
     def _materialize(self) -> None:
-        # Mirrors _replay_log minus the accounting: same task order,
-        # same insertion order, same renaming — byte-identical output.
+        # The same replay as _replay_log, in the same task order —
+        # byte-identical output.
         target = Instance()
         trace = ChaseTrace()
-        nulls = self._nulls
-        record_step = trace.record
         for log in self._record.task_logs:
-            for entry in log:
-                recorded = entry.firing
-                if recorded is None:
-                    continue
-                record = recorded.record
-                transcript = record.fresh_nulls
-                if not transcript:
-                    _insert_all(target, record.added_facts)
-                    record_step(record)
-                    continue
-                rename = nulls.reissue(transcript)
-                fact_list = list(recorded.facts)
-                for index in recorded.null_fact_indices:
-                    item = fact_list[index]
-                    fact_list[index] = Fact.make(
-                        item.relation,
-                        tuple(rename.get(arg, arg) for arg in item.args),
-                    )
-                new_facts = tuple(
-                    fact_list[index] for index in recorded.added_indices
-                )
-                _insert_all(target, new_facts)
-                record_step(
-                    TgdStepRecord(
-                        dependency=record.dependency,
-                        assignment=entry.assignment,
-                        added_facts=new_facts,
-                        fresh_nulls=tuple(rename.values()),
-                    )
-                )
+            _replay_firings(log, target, trace)
         if self._target is None:
             self._target = target
         if self._trace is None:
@@ -496,21 +466,22 @@ class IncrementalRegionChaser:
     Feed it each region's snapshot and net fact diff (from
     :meth:`AbstractInstance.iter_region_deltas`) in timeline order; it
     returns per-region :class:`SnapshotChaseResult`\\ s byte-identical to
-    ``chase_snapshot`` under the same shared :class:`NullFactory`.
+    ``chase_snapshot``.
     """
 
     def __init__(
         self,
         setting: DataExchangeSetting,
-        nulls: NullFactory,
         variant: ChaseVariant = "standard",
         engine: str = "delta",
     ) -> None:
         self.setting = setting
-        self.nulls = nulls
         self.variant = variant
         self.engine = engine
-        self.tasks = _snapshot_tgd_tasks(setting)
+        # One name → Skolem term registry for the whole chain: replayed
+        # nulls were registered in the region that first minted them.
+        self.null_names: dict[str, tuple] = {}
+        self.tasks = _snapshot_tgd_tasks(setting, variant)
         self.shapes = [
             _analyze_stream_shape(task.tgd) for task in self.tasks
         ]
@@ -523,9 +494,9 @@ class IncrementalRegionChaser:
         # probing.  ``_dropped`` flips only on deviations that can
         # *remove* target content relative to the recorded run (a
         # dropped entry, a re-sorted stream); while it stays ``False``
-        # the current target is a superset of the recorded target's
-        # ρ-image at every position, so recorded *skip* decisions remain
-        # forced and only recorded firings need a live probe.
+        # the current target is a superset of the recorded target at
+        # every position, so recorded *skip* decisions remain forced and
+        # only recorded firings need a live probe.
         self._deviated = True
         self._dropped = True
         self._probes_ready = False
@@ -539,7 +510,6 @@ class IncrementalRegionChaser:
         removed: Sequence[Fact],
     ) -> tuple[SnapshotChaseResult, RegionReuseStats]:
         """Chase one region's snapshot, replaying what the diff allows."""
-        counter = self.nulls.state()
         previous = self.previous
         stats = RegionReuseStats()
 
@@ -553,7 +523,10 @@ class IncrementalRegionChaser:
         trace = ChaseTrace()
         target = Instance()
         domain = _SnapshotDomain(
-            target, source=snapshot, nulls=self.nulls, variant=self.variant
+            target,
+            source=snapshot,
+            variant=self.variant,
+            null_names=self.null_names,
         )
         # Probes are seeded lazily, and only on the *dropping* path: while
         # no recorded content has been dropped, extension checks are
@@ -627,16 +600,13 @@ class IncrementalRegionChaser:
             and previous.egd_clean
             and stats.live_firings == 0
         ):
-            # Every target fact is a recorded fact under the (injective)
-            # replay renaming: replayed firings rename recorded rhs
-            # instantiations, drops and skips only remove content, and
-            # no live firing minted anything outside a recorded
-            # transcript.  The target is therefore a subset of the
-            # renamed recorded target, on which every egd equation was
-            # trivially satisfied (the recorded fixpoint merged
-            # nothing), and injective renaming preserves every equality
-            # an egd can observe — so the fixpoint is a no-op and the
-            # seed-round enumeration is skipped outright.
+            # Every target fact is a recorded fact: replayed firings
+            # re-add recorded rhs instantiations, drops and skips only
+            # remove content, and no live firing added anything.  The
+            # target is therefore a subset of the recorded target, on
+            # which every egd equation was trivially satisfied (the
+            # recorded fixpoint merged nothing) — so the fixpoint is a
+            # no-op and the seed-round enumeration is skipped outright.
             failure = None
         else:
             failure = run_egd_fixpoint(
@@ -645,14 +615,12 @@ class IncrementalRegionChaser:
         if failure is not None:
             self.previous = None
             if previous is not None:
-                # Replay-assisted failure: rewind and reproduce the exact
+                # Replay-assisted failure: reproduce the exact
                 # from-scratch failure (trace, partial target and all).
-                self.nulls.restore(counter)
                 return (
                     chase_snapshot(
                         snapshot,
                         self.setting,
-                        null_factory=self.nulls,
                         variant=self.variant,
                         engine=self.engine,  # type: ignore[arg-type]
                     ),
@@ -682,15 +650,9 @@ class IncrementalRegionChaser:
         verbatim — every shape is patchable, no lhs relation is touched
         by the diff, no pair join flips orientation — and the recorded
         egd fixpoint was a no-op.  The region's result is then the
-        recorded run's image under the replay renaming (the fixpoint on
-        that image is a no-op too: renaming fresh nulls injectively
-        preserves every equality an egd can observe), so nothing needs
-        to be built now: the null counter advances by the recorded
-        issuance count, and a lazy view over the recorded log is
-        returned.  The next region replays off the same base log — its
-        images and assignments are diff-untouched snapshot content, and
-        firing facts are renamed from the base transcripts under
-        whatever the counter is by then.
+        recorded run's, so nothing needs to be built now: a lazy view
+        over the recorded log is returned, and the next region replays
+        off the same base log.
         """
         outer_choices: list[int | None] = []
         for task_index, shape in enumerate(self.shapes):
@@ -702,17 +664,15 @@ class IncrementalRegionChaser:
                 if choice != previous.outer_choices[task_index]:
                     return None
             outer_choices.append(choice)
-        matches, firings, null_count = previous.totals()
+        matches, firings = previous.totals()
         stats.streams_reused += len(self.shapes)
         stats.replayed_matches += matches
         stats.replayed_firings += firings
-        start = self.nulls.state()
-        self.nulls.advance(null_count)
         self.previous = _RegionRecord(
             previous.task_logs, outer_choices, egd_clean=True
         )
         self.previous._totals = previous._totals
-        return _ReplaySnapshotResult(previous, self.nulls.spawn_at(start))
+        return _ReplaySnapshotResult(previous)
 
     # -- tgd side ----------------------------------------------------------
 
@@ -824,63 +784,13 @@ class IncrementalRegionChaser:
 
         Every fire/skip decision and dedup outcome is forced here (the
         caller checked the region has not deviated, no probe is seeded
-        and the target's index caches are cold), so skips reuse their
-        entry, ground firings reuse entry *and* trace record, and only
-        null-minting firings allocate — the renamed facts and their
-        records.
+        and the target's index caches are cold), so the log is reused
+        as is: firings re-add their recorded facts and trace records,
+        and nothing is allocated.
         """
-        nulls = self.nulls
-        record_step = trace.record
-        entries: list[_MatchEntry] = []
-        append = entries.append
-        firings = 0
-        for entry in log:
-            recorded = entry.firing
-            if recorded is None:
-                append(entry)
-                continue
-            firings += 1
-            record = recorded.record
-            transcript = record.fresh_nulls
-            if not transcript:
-                _insert_all(target, record.added_facts)
-                record_step(record)
-                append(entry)
-                continue
-            rename = nulls.reissue(transcript)
-            fact_list = list(recorded.facts)
-            for index in recorded.null_fact_indices:
-                item = fact_list[index]
-                fact_list[index] = Fact.make(
-                    item.relation,
-                    tuple(rename.get(arg, arg) for arg in item.args),
-                )
-            facts = tuple(fact_list)
-            added_indices = recorded.added_indices
-            new_facts = [facts[index] for index in added_indices]
-            _insert_all(target, new_facts)
-            new_record = TgdStepRecord(
-                dependency=record.dependency,
-                assignment=entry.assignment,
-                added_facts=tuple(new_facts),
-                fresh_nulls=tuple(rename.values()),
-            )
-            record_step(new_record)
-            append(
-                _MatchEntry(
-                    entry.images,
-                    entry.assignment,
-                    _FiringRecord(
-                        new_record,
-                        facts,
-                        recorded.null_fact_indices,
-                        added_indices,
-                    ),
-                )
-            )
-        stats.replayed_matches += len(entries)
-        stats.replayed_firings += firings
-        return entries
+        stats.replayed_matches += len(log)
+        stats.replayed_firings += _replay_firings(log, target, trace)
+        return log
 
     def _seed_probes(self, domain: _SnapshotDomain) -> None:
         """Late :meth:`_SnapshotDomain.attach_probes`, run at the first
@@ -1159,19 +1069,19 @@ class IncrementalRegionChaser:
         if self.variant == "standard":
             if not self._dropped:
                 # No recorded content has been dropped, so the target is
-                # a superset of the recorded target's ρ-image at every
-                # stream position.  Decisions then resolve without a
-                # full projection probe:
+                # a superset of the recorded target at every stream
+                # position.  Decisions then resolve without a full
+                # projection probe:
                 if recorded is None and entry is not None:
                     # Recorded skip: its rhs extension existed in the
-                    # ρ-image, so it still exists — forced.
+                    # recorded target, so it still exists — forced.
                     return entry
                 if entry is not None:
                     # Recorded firing: its extension was absent in the
-                    # ρ-image, and replayed firings cannot create new
-                    # extensions — only this region's deviation
-                    # additions can, and those are exactly what the
-                    # task's mini probe has observed.  Skipping a
+                    # recorded target, and replayed firings cannot
+                    # create new extensions — only this region's
+                    # deviation additions can, and those are exactly
+                    # what the task's mini probe has observed.  Skipping a
                     # recorded firing *removes* its rhs facts relative
                     # to the replay, so it counts as a dropping
                     # deviation for everything after it.
@@ -1219,58 +1129,35 @@ class IncrementalRegionChaser:
                     )
         if recorded is not None:
             stats.replayed_firings += 1
-            transcript = recorded.record.fresh_nulls
-            if not transcript and not self._deviated and (
+            if not self._deviated and (
                 not self._probes_ready
                 and not target._index
                 and not target._ordered
             ):
-                # Ground firing replayed pre-deviation: the facts are
-                # the very same objects and the dedup outcome is forced,
-                # so the recorded trace record — and the whole match
-                # entry — are content-identical and are reused without
-                # allocating anything.
+                # Firing replayed pre-deviation: the facts are the very
+                # same objects (Skolem-named nulls included) and the
+                # dedup outcome is forced, so the recorded trace record
+                # — and the whole match entry — are content-identical
+                # and are reused without allocating anything.
                 _insert_all(target, recorded.record.added_facts)
                 trace.record(recorded.record)
                 return entry  # type: ignore[return-value]
-            if transcript:
-                rename = self.nulls.reissue(transcript)
-                fresh = tuple(rename.values())
-                fact_list = list(recorded.facts)
-                for index in recorded.null_fact_indices:
-                    item = fact_list[index]
-                    fact_list[index] = Fact.make(
-                        item.relation,
-                        tuple(rename.get(arg, arg) for arg in item.args),
-                    )
-                facts = tuple(fact_list)
-            else:
-                fresh = ()
-                facts = recorded.facts
-            null_fact_indices = recorded.null_fact_indices
+            fresh = recorded.record.fresh_nulls
+            facts = recorded.facts
         else:
-            fresh_list: list[GroundTerm] = []
-            if tgd.existential_variables:
+            fresh = _skolem_nulls(task, assignment, self.null_names)
+            extension = assignment
+            if fresh:
                 extension = dict(assignment)
-                for variable in tgd.existential_variables:
-                    null = self.nulls.fresh()
-                    extension[variable] = null
-                    fresh_list.append(null)
-            else:
-                extension = assignment
+                extension.update(
+                    zip(tgd.existential_variables, fresh, strict=True)
+                )
             facts = tuple(
                 Fact.make(
                     atom.relation,
                     tuple([extension.get(arg, arg) for arg in atom.args]),
                 )
                 for atom in tgd.rhs.atoms
-            )
-            fresh = tuple(fresh_list)
-            fresh_set = set(fresh)
-            null_fact_indices = tuple(
-                index
-                for index, item in enumerate(facts)
-                if not fresh_set.isdisjoint(item.args)
             )
             stats.live_firings += 1
 
@@ -1282,44 +1169,32 @@ class IncrementalRegionChaser:
         ):
             # No-drops fast inserts: nothing observes the target during
             # the tgd pass here (no seeded probe, cold index caches), so
-            # facts go straight into the relation buckets.  Pre-deviation
-            # the dedup outcome is forced too — exactly the recorded
-            # subset of rhs facts is new — and skips the membership test.
-            if recorded is not None and not self._deviated:
-                added_indices = recorded.added_indices
-                new_facts = [facts[index] for index in added_indices]
-                _insert_all(target, new_facts)
-            else:
-                # Post-deviation the dedup outcome is live: membership-
-                # checked variant of _insert_all that also collects the
-                # genuinely-new facts (keep the invariant in sync).
-                buckets = target._facts_by_relation
-                max_arity = target._max_arity
-                new_facts = []
-                added_index_list: list[int] = []
-                for index, item in enumerate(facts):
-                    bucket = buckets.get(item.relation)
-                    if bucket is None:
-                        buckets[item.relation] = bucket = set()
-                    if item in bucket:
-                        continue
-                    bucket.add(item)
-                    if item.arity > max_arity.get(item.relation, 0):
-                        max_arity[item.relation] = item.arity
-                    new_facts.append(item)
-                    added_index_list.append(index)
-                added_indices = tuple(added_index_list)
+            # facts go straight into the relation buckets.  Forced
+            # replays returned above, so the region has deviated and the
+            # dedup outcome is live: a membership-checked variant of
+            # _insert_all that also collects the genuinely-new facts
+            # (keep the invariant in sync).
+            buckets = target._facts_by_relation
+            max_arity = target._max_arity
+            new_facts = []
+            for item in facts:
+                bucket = buckets.get(item.relation)
+                if bucket is None:
+                    buckets[item.relation] = bucket = set()
+                if item in bucket:
+                    continue
+                bucket.add(item)
+                if item.arity > max_arity.get(item.relation, 0):
+                    max_arity[item.relation] = item.arity
+                new_facts.append(item)
         else:
             new_facts = []
-            added_index_list = []
             probes_for = domain.probes_for
-            for index, item in enumerate(facts):
+            for item in facts:
                 if target.add(item):
                     new_facts.append(item)
-                    added_index_list.append(index)
                     for probe in probes_for.get(item.relation, ()):
                         probe.observe(item)
-            added_indices = tuple(added_index_list)
         if recorded is None and not self._dropped and new_facts:
             # Deviation additions are the only facts that can flip a
             # later recorded decision on the no-drops path; the mini
@@ -1338,7 +1213,7 @@ class IncrementalRegionChaser:
         return _MatchEntry(
             images,
             assignment,
-            _FiringRecord(record, facts, null_fact_indices, added_indices),
+            _FiringRecord(record, facts),
         )
 
 

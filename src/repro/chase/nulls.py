@@ -1,172 +1,95 @@
-"""Deterministic factories for fresh nulls.
+"""Content-addressed (Skolem) names for fresh nulls.
 
-Chase runs must be reproducible: the figures in the paper (and our tests
-that regenerate them byte-for-byte) name nulls ``N``, ``N'``, ``M`` …;
-we name them ``N1, N2, …`` in generation order.  A factory is scoped to
-one chase run so that parallel runs never share counters.
+A chase step gives every existential variable ``z`` of the firing tgd
+``σ`` a fresh null.  Its name is the Skolem term ``f_{σ,z}(x̄)`` written
+out (Marnette's Skolem chase, PODS 2009): a pure function of the firing —
+the tgd, the variable, the binding of the frontier ``x̄`` and, for the
+c-chase's interval-annotated nulls, the stamp ``h(t)`` (Definition 16).
+The oblivious variant passes the whole lhs match as ``x̄``, so each of
+its firings still mints its own nulls.
 
-For the sharded abstract chase each shard derives its own factory with
-:meth:`NullFactory.for_shard`: shard *i* issues names under the
-namespace ``<prefix>s<i>_`` (e.g. ``Ns0_1``), so fresh nulls of
-different shards can never collide no matter how the shards interleave —
-the sharded analogue of "nulls of different snapshots never coincide".
+Because a name depends on nothing but its firing, re-chasing an
+overlapping source re-mints the same names (a one-fact source change is
+a one-fact target change), the incremental chase replays a recorded
+firing's nulls unchanged, and a region gets the same names whichever
+shard or process chases it.  Nulls of different snapshots still never
+coincide: the abstract chase annotates each region's nulls with that
+region, and an :class:`~repro.relational.terms.AnnotatedNull` is the
+pair (base, annotation).
+
+A name is ``N`` plus 16 hex digits of a salt-free ``blake2b`` digest of
+the term's canonical text: fixed width, and free of the ``@`` reserved
+for snapshot projection whatever the constants contain.  The text spells
+each bound term by its ``term_sort_key`` (kind, type name, ``str``),
+which is the same in every process for the constants the codecs carry
+(strings, numbers, booleans, ``None``, intervals).  Each chase run
+keeps a registry from name to Skolem term, so two different terms behind
+one name raise :class:`NullNameCollisionError` instead of merging two
+unknowns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+import hashlib
 
-from repro.relational.terms import AnnotatedNull, GroundTerm, LabeledNull
+from repro.dependencies.dependency import SourceToTargetTGD
+from repro.errors import ReproError
+from repro.relational.terms import GroundTerm, Variable, term_sort_key
 from repro.temporal.interval import Interval
 
-__all__ = ["NullFactory"]
+__all__ = ["NullNameCollisionError", "skolem_arguments", "skolem_names"]
 
 
-@dataclass
-class NullFactory:
-    """Issues fresh labeled / interval-annotated nulls with sequential names."""
+class NullNameCollisionError(ReproError):
+    """Two different Skolem terms digested to one null name."""
 
-    prefix: str = "N"
-    _counter: int = field(default=0, repr=False)
-    # How many sharded generations have been derived from this factory
-    # (each sharded abstract chase claims one via new_generation()).
-    _generations: int = field(default=0, repr=False)
 
-    def fresh_name(self) -> str:
-        self._counter += 1
-        return f"{self.prefix}{self._counter}"
+def skolem_arguments(
+    tgd: SourceToTargetTGD, variant: str
+) -> tuple[Variable, ...]:
+    """The lhs variables whose binding a firing's Skolem terms take.
 
-    def fresh(self) -> LabeledNull:
-        """A fresh snapshot-level labeled null."""
-        return LabeledNull(self.fresh_name())
+    The frontier under the standard chase (which never fires twice on
+    one frontier binding and stamp); the whole lhs match under the
+    oblivious variant, so that its firings never share nulls.
+    """
+    if variant == "standard":
+        return tgd.exported_variables
+    return tgd.universal_variables
 
-    def fresh_annotated(self, annotation: Interval) -> AnnotatedNull:
-        """A fresh interval-annotated null ``N^annotation``.
 
-        Used by s-t tgd c-chase steps (Definition 16): each existential
-        variable is assigned a fresh null annotated with ``h(t)``.
-        """
-        return AnnotatedNull(self.fresh_name(), annotation)
+def _digest(text: bytes) -> str:
+    return hashlib.blake2b(text, digest_size=8).hexdigest()
 
-    def new_generation(self) -> int:
-        """Claim the next sharded-generation number of this factory.
 
-        The sharded abstract chase claims one generation per run, so two
-        sharded runs that *share* one base factory — the documented way
-        to keep nulls globally distinct across runs — derive disjoint
-        shard namespaces instead of silently repeating names.
-        """
-        generation = self._generations
-        self._generations = generation + 1
-        return generation
+def skolem_names(
+    registry: dict[str, tuple],
+    function: str,
+    existentials: tuple[Variable, ...],
+    binding: tuple[GroundTerm, ...],
+    stamp: Interval | None = None,
+) -> tuple[str, ...]:
+    """The names of the nulls ``f_{function,z}(binding)`` at *stamp*, one
+    per existential variable ``z`` of one firing.
 
-    def for_shard(self, shard: int, generation: int = 0) -> "NullFactory":
-        """A fresh factory whose names live in shard *shard*'s namespace.
-
-        ``N`` becomes ``Ns0_1, Ns0_2, …`` for shard 0, ``Ns1_1, …`` for
-        shard 1, and so on; generation ``g > 0`` (see
-        :meth:`new_generation`) prepends a ``g<g>`` tag —
-        ``Ng1s0_1, …`` — so repeated sharded runs off one base factory
-        stay disjoint too.  All such namespaces are pairwise disjoint
-        and disjoint from the unsharded ``N1, N2, …`` names, so a
-        partitioned run can allocate nulls concurrently without any
-        coordination and still never collide.
-        """
-        tag = f"s{shard}_" if generation == 0 else f"g{generation}s{shard}_"
-        return NullFactory(prefix=f"{self.prefix}{tag}")
-
-    # -- replay (incremental cross-region chase) ------------------------------
-    def state(self) -> int:
-        """The counter position, for later :meth:`restore`.
-
-        The incremental abstract chase snapshots the factory before each
-        region so an abandoned replay attempt can rewind and re-issue the
-        very same names a from-scratch chase of that region would.
-        """
-        return self._counter
-
-    def restore(self, state: int) -> None:
-        """Rewind the counter to a position captured by :meth:`state`.
-
-        Rewinding is only sound when every null issued past *state* is
-        being discarded by the caller (the incremental chase's fallback
-        re-runs the whole region, so nothing issued after the snapshot
-        survives).
-        """
-        if state < 0 or state > self._counter:
-            raise ValueError(
-                f"cannot restore factory counter to {state} "
-                f"(currently at {self._counter})"
+    *function* identifies the tgd within its setting (label and
+    position, so equally-named tgds stay apart); *registry* is the
+    calling run's name → term map.  Callers wrap each name as a
+    :class:`~repro.relational.terms.LabeledNull` or an
+    :class:`~repro.relational.terms.AnnotatedNull`.
+    """
+    arguments = [term_sort_key(term) for term in binding]
+    stamp_text = None if stamp is None else str(stamp)
+    names = []
+    for variable in existentials:
+        key = (function, variable, binding, stamp)
+        text = repr((function, variable.name, arguments, stamp_text))
+        name = "N" + _digest(text.encode())
+        known = registry.setdefault(name, key)
+        if known is not key and known != key:
+            raise NullNameCollisionError(
+                f"null name {name} digests two Skolem terms: "
+                f"{known!r} and {key!r}"
             )
-        self._counter = state
-
-    def advance(self, count: int) -> None:
-        """Issue *count* names without materializing any of them.
-
-        Names are a pure function of ``(prefix, counter)``, so a caller
-        that defers building its nulls (the incremental chase's
-        copy-on-write replay of a fully-reused region) can reserve the
-        counter range up front and mint the identical names later from a
-        :meth:`spawn_at` clone.
-        """
-        if count < 0:
-            raise ValueError(f"cannot advance factory counter by {count}")
-        self._counter += count
-
-    def spawn_at(self, state: int) -> "NullFactory":
-        """An independent factory positioned at *state*.
-
-        Issues exactly the names this factory would have issued from
-        that position, without touching this factory's counter — the
-        deferred half of :meth:`advance`.
-        """
-        return NullFactory(prefix=self.prefix, _counter=state)
-
-    def fast_forward(self, issued: int) -> None:
-        """Adopt a counter position ≥ the current one.
-
-        The process executor reconstructs shard factories in worker
-        processes from ``(prefix, counter)`` and, once a worker's report
-        comes back, replays its final issuance count onto the parent's
-        factory — so a *shared* base factory (``shards=1``) keeps names
-        globally distinct across subsequent runs exactly as if the block
-        had chased in-process.  Positions behind the counter are ignored
-        (never rewinds; that is :meth:`restore`'s job).
-        """
-        if issued > self._counter:
-            self._counter = issued
-
-    # -- pickling --------------------------------------------------------------
-    def __getstate__(self):
-        """Explicit state: prefix and counters, nothing else.
-
-        Factories cross the process boundary when shard tasks ship; a
-        restored factory must issue exactly the names the original would
-        (the null-name transcript is part of the byte-identical output
-        contract).
-        """
-        return (self.prefix, self._counter, self._generations)
-
-    def __setstate__(self, state) -> None:
-        self.prefix, self._counter, self._generations = state
-
-    def reissue(
-        self, transcript: Sequence[LabeledNull]
-    ) -> dict[GroundTerm, GroundTerm]:
-        """Replay a recorded issuance *transcript* with fresh names.
-
-        For a firing replayed from a previous region's log, the fresh
-        chase would mint exactly as many nulls, in the same order, under
-        the *current* counter.  ``reissue`` performs that minting and
-        returns the renaming ``recorded null ↦ fresh null`` (in issuance
-        order), which is how replayed firings reuse the recorded null
-        structure while keeping names byte-identical to a from-scratch
-        run.
-        """
-        return {old: self.fresh() for old in transcript}
-
-    @property
-    def issued(self) -> int:
-        """How many nulls this factory has produced so far."""
-        return self._counter
+        names.append(name)
+    return tuple(names)

@@ -48,7 +48,7 @@ from repro.chase.engine import (
     run_egd_fixpoint,
     run_tgd_pass,
 )
-from repro.chase.nulls import NullFactory
+from repro.chase.nulls import skolem_arguments, skolem_names
 from repro.chase.trace import (
     ChaseTrace,
     FailureRecord,
@@ -62,7 +62,7 @@ from repro.relational.homomorphism import (
     has_homomorphism,
 )
 from repro.relational.instance import Instance
-from repro.relational.terms import GroundTerm, Variable
+from repro.relational.terms import GroundTerm, LabeledNull, Variable
 
 __all__ = ["SnapshotChaseResult", "chase_snapshot", "snapshot_satisfies"]
 
@@ -106,16 +106,27 @@ def _egd_label(egd: EGD, index: int) -> str:
 
 
 class _SnapshotTgdTask:
-    """One s-t tgd prepared for the engine's tgd pass."""
+    """One s-t tgd prepared for the engine's tgd pass.
 
-    __slots__ = ("label", "tgd", "rhs_probe")
+    *function* and *key_variables* make up its nulls' Skolem terms.
+    """
 
-    def __init__(self, label: str, tgd: SourceToTargetTGD) -> None:
+    __slots__ = ("label", "tgd", "rhs_probe", "function", "key_variables")
+
+    def __init__(
+        self,
+        label: str,
+        tgd: SourceToTargetTGD,
+        index: int,
+        variant: ChaseVariant,
+    ) -> None:
         self.label = label
         self.tgd = tgd
         self.rhs_probe = build_rhs_probe(
             tgd.rhs.atoms, tgd.existential_variables
         )
+        self.function = f"{label}#{index}"
+        self.key_variables = skolem_arguments(tgd, variant)
 
 
 class _SnapshotDomain:
@@ -127,13 +138,14 @@ class _SnapshotDomain:
         self,
         target: Instance,
         source: Instance | None = None,
-        nulls: NullFactory | None = None,
         variant: ChaseVariant = "standard",
+        null_names: dict[str, tuple] | None = None,
     ) -> None:
         self.target = target
         self.source = source
-        self.nulls = nulls
         self.variant = variant
+        # This run's name → Skolem term registry (see repro.chase.nulls).
+        self.null_names = {} if null_names is None else null_names
         self.probes_for: dict[str, list] = {}
 
     def attach_probes(self, tasks) -> None:
@@ -171,17 +183,12 @@ class _SnapshotDomain:
                     return None
             elif has_homomorphism(tgd.rhs, self.target, initial=assignment):
                 return None
-        assert self.nulls is not None
         record_assignment: dict[Variable, GroundTerm] = dict(assignment)
-        fresh: list[GroundTerm] = []
-        if tgd.existential_variables:
+        fresh = _skolem_nulls(task, record_assignment, self.null_names)
+        extension = record_assignment
+        if fresh:
             extension = dict(record_assignment)
-            for variable in tgd.existential_variables:
-                null = self.nulls.fresh()
-                extension[variable] = null
-                fresh.append(null)
-        else:
-            extension = record_assignment
+            extension.update(zip(tgd.existential_variables, fresh, strict=True))
         new_facts: list[Fact] = []
         for atom in tgd.rhs.atoms:
             item = Fact.make(
@@ -196,8 +203,24 @@ class _SnapshotDomain:
             dependency=task.label,
             assignment=record_assignment,
             added_facts=tuple(new_facts),
-            fresh_nulls=tuple(fresh),
+            fresh_nulls=fresh,
         )
+
+
+def _skolem_nulls(
+    task: _SnapshotTgdTask,
+    assignment: dict[Variable, GroundTerm],
+    null_names: dict[str, tuple],
+) -> tuple[LabeledNull, ...]:
+    """The Skolem-named nulls one firing of *task* gives its existentials."""
+    existentials = task.tgd.existential_variables
+    if not existentials:
+        return ()
+    binding = tuple([assignment[variable] for variable in task.key_variables])
+    return tuple(
+        LabeledNull(name)
+        for name in skolem_names(null_names, task.function, existentials, binding)
+    )
 
 
 def _egd_tasks(setting: DataExchangeSetting) -> tuple[EgdTask, ...]:
@@ -222,7 +245,9 @@ def _egd_tasks(setting: DataExchangeSetting) -> tuple[EgdTask, ...]:
     return cached
 
 
-def _snapshot_tgd_tasks(setting: DataExchangeSetting) -> list[_SnapshotTgdTask]:
+def _snapshot_tgd_tasks(
+    setting: DataExchangeSetting, variant: ChaseVariant
+) -> list[_SnapshotTgdTask]:
     """The setting's s-t tgds prepared for the engine's tgd pass.
 
     Each call returns *fresh* tasks: the rhs projection probes they carry
@@ -232,7 +257,7 @@ def _snapshot_tgd_tasks(setting: DataExchangeSetting) -> list[_SnapshotTgdTask]:
     therefore one task list — per shard).
     """
     return [
-        _SnapshotTgdTask(_tgd_label(tgd, index), tgd)
+        _SnapshotTgdTask(_tgd_label(tgd, index), tgd, index, variant)
         for index, tgd in enumerate(setting.st_tgds, start=1)
     ]
 
@@ -241,12 +266,11 @@ def _run_tgd_phase(
     source: Instance,
     target: Instance,
     setting: DataExchangeSetting,
-    nulls: NullFactory,
     variant: ChaseVariant,
     trace: ChaseTrace,
 ) -> None:
-    domain = _SnapshotDomain(target, source=source, nulls=nulls, variant=variant)
-    tasks = _snapshot_tgd_tasks(setting)
+    domain = _SnapshotDomain(target, source=source, variant=variant)
+    tasks = _snapshot_tgd_tasks(setting, variant)
     domain.attach_probes(tasks)
     run_tgd_pass(domain, tasks, trace)
 
@@ -270,7 +294,6 @@ def _run_egd_phase(
 def chase_snapshot(
     source: Instance,
     setting: DataExchangeSetting,
-    null_factory: NullFactory | None = None,
     variant: ChaseVariant = "standard",
     engine: EngineMode = "delta",
 ) -> SnapshotChaseResult:
@@ -281,13 +304,13 @@ def chase_snapshot(
     *engine* selects the egd fixpoint strategy (``"delta"`` enumerates
     each round against the previous round's delta only; ``"rescan"``
     re-enumerates the full instance every round — the reference mode).
+    Fresh nulls carry Skolem names (:mod:`repro.chase.nulls`).
     """
-    nulls = null_factory if null_factory is not None else NullFactory()
     trace = ChaseTrace()
     # Target instances are kept schema-free internally; arity validation
     # already happened at the dependency level where attributes are known.
     target = Instance()
-    _run_tgd_phase(source, target, setting, nulls, variant, trace)
+    _run_tgd_phase(source, target, setting, variant, trace)
     result_instance, failure = _run_egd_phase(target, setting, trace, mode=engine)
     if failure is not None:
         return SnapshotChaseResult(

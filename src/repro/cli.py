@@ -119,7 +119,7 @@ def _print_shard_reports(abstract_result) -> None:
                 reuse = f", {percent:.0f}% replayed"
         print(
             f"shard {shard.shard}: {shard.regions} regions, "
-            f"{shard.nulls_issued} nulls, {shard.seconds * 1000:.2f} ms{reuse}",
+            f"{shard.seconds * 1000:.2f} ms{reuse}",
             file=sys.stderr,
         )
 
@@ -606,7 +606,7 @@ def _add_scheduler_flags(command: argparse.ArgumentParser) -> None:
         type=_shard_count,
         default=1,
         help="partition the abstract chase's regions across N shards "
-        "(per-shard null namespaces; prints per-shard timing)",
+        "(output is byte-identical to one shard; prints per-shard timing)",
     )
     command.add_argument(
         "--executor",

@@ -7,7 +7,8 @@ delta-driven engine of :mod:`repro.chase.engine`:
 2. apply all s-t tgd c-chase steps: a step fires for a homomorphism ``h``
    from the lifted lhs (shared temporal variable ``t``) that does not
    extend to the rhs over the current target; each existential variable
-   receives a **fresh null annotated with h(t)**;
+   receives a **fresh null annotated with h(t)**, named by its Skolem
+   term over the frontier and h(t) (:mod:`repro.chase.nulls`);
 3. normalize the target w.r.t. the lhs of ``Σ+eg``;
 4. apply egd c-chase steps to a fixpoint: equating two constants fails
    the whole chase (no solution exists — Theorem 19(2)); otherwise an
@@ -48,7 +49,7 @@ from repro.chase.engine import (
     run_egd_fixpoint,
     run_tgd_pass,
 )
-from repro.chase.nulls import NullFactory
+from repro.chase.nulls import skolem_arguments, skolem_names
 from repro.chase.trace import (
     ChaseTrace,
     FailureRecord,
@@ -70,10 +71,7 @@ from repro.dependencies.mapping import DataExchangeSetting
 from repro.relational.fact import Fact
 from repro.relational.formulas import Atom
 from repro.relational.homomorphism import has_homomorphism
-from repro.relational.terms import (
-    GroundTerm,
-    Variable,
-)
+from repro.relational.terms import AnnotatedNull, GroundTerm, Variable
 
 __all__ = ["CChaseResult", "CChaseReplayState", "c_chase", "NormalizationMode"]
 
@@ -165,7 +163,11 @@ def _lift_rhs(tgd: SourceToTargetTGD, tvar: Variable) -> tuple[Atom, ...]:
 
 
 class _ConcreteTgdTask:
-    """One lifted s-t tgd prepared for the engine's tgd pass."""
+    """One lifted s-t tgd prepared for the engine's tgd pass.
+
+    *function* and *key_variables* make up its nulls' Skolem terms;
+    the stamp h(t) completes each term.
+    """
 
     __slots__ = (
         "label",
@@ -175,9 +177,17 @@ class _ConcreteTgdTask:
         "lifted_rhs",
         "exported",
         "rhs_probe",
+        "function",
+        "key_variables",
     )
 
-    def __init__(self, label: str, tgd: SourceToTargetTGD) -> None:
+    def __init__(
+        self,
+        label: str,
+        tgd: SourceToTargetTGD,
+        index: int,
+        variant: TgdVariant,
+    ) -> None:
         self.label = label
         self.tgd = tgd
         self.lifted_lhs = tgd.lift_lhs()
@@ -189,6 +199,8 @@ class _ConcreteTgdTask:
         self.rhs_probe = build_rhs_probe(
             self.lifted_rhs, tgd.existential_variables
         )
+        self.function = f"{label}#{index}"
+        self.key_variables = skolem_arguments(tgd, variant)
 
 
 class _ConcreteDomain:
@@ -205,13 +217,13 @@ class _ConcreteDomain:
         self,
         target: ConcreteInstance,
         source: ConcreteInstance | None = None,
-        nulls: NullFactory | None = None,
         variant: TgdVariant = "standard",
     ) -> None:
         self.target = target
         self.source = source
-        self.nulls = nulls
         self.variant = variant
+        # This run's name → Skolem term registry (see repro.chase.nulls).
+        self.null_names: dict[str, tuple] = {}
         self.probes_for: dict[str, list] = {}
 
     def attach_probes(self, tasks) -> None:
@@ -263,17 +275,22 @@ class _ConcreteDomain:
                     task.lifted_rhs, self.target.lifted(), initial=initial
                 ):
                     return None
-        assert self.nulls is not None
         record_assignment: dict[Variable, GroundTerm] = dict(assignment)
-        fresh: list[GroundTerm] = []
-        if tgd.existential_variables:
+        existentials = tgd.existential_variables
+        fresh: tuple[AnnotatedNull, ...] = ()
+        extension = record_assignment
+        if existentials:
+            binding = tuple(
+                [record_assignment[variable] for variable in task.key_variables]
+            )
+            fresh = tuple(
+                AnnotatedNull(name, stamp)
+                for name in skolem_names(
+                    self.null_names, task.function, existentials, binding, stamp
+                )
+            )
             extension = dict(record_assignment)
-            for variable in tgd.existential_variables:
-                null = self.nulls.fresh_annotated(stamp)
-                extension[variable] = null
-                fresh.append(null)
-        else:
-            extension = record_assignment
+            extension.update(zip(existentials, fresh, strict=True))
         added: list[ConcreteFact] = []
         for atom in tgd.rhs.atoms:
             new_fact = ConcreteFact.make(
@@ -292,7 +309,7 @@ class _ConcreteDomain:
             dependency=task.label,
             assignment=record_assignment,
             added_facts=tuple(item.lifted() for item in added),
-            fresh_nulls=tuple(fresh),
+            fresh_nulls=fresh,
         )
 
 
@@ -300,13 +317,12 @@ def _run_st_phase(
     source: ConcreteInstance,
     target: ConcreteInstance,
     setting: DataExchangeSetting,
-    nulls: NullFactory,
     variant: TgdVariant,
     trace: ChaseTrace,
 ) -> None:
-    domain = _ConcreteDomain(target, source=source, nulls=nulls, variant=variant)
+    domain = _ConcreteDomain(target, source=source, variant=variant)
     tasks = [
-        _ConcreteTgdTask(tgd.name or f"σ{index}+", tgd)
+        _ConcreteTgdTask(tgd.name or f"σ{index}+", tgd, index, variant)
         for index, tgd in enumerate(setting.st_tgds, start=1)
     ]
     domain.attach_probes(tasks)
@@ -353,7 +369,6 @@ def _run_egd_phase(
 def c_chase(
     source: ConcreteInstance,
     setting: DataExchangeSetting,
-    null_factory: NullFactory | None = None,
     normalization: NormalizationMode = "conjunction",
     variant: TgdVariant = "standard",
     coalesce_result: bool = False,
@@ -368,8 +383,6 @@ def c_chase(
         The concrete source instance (assumed coalesced, per the paper).
     setting:
         The data exchange setting ``M``; its lifting ``M+`` is derived.
-    null_factory:
-        Source of fresh annotated nulls (deterministic default).
     normalization:
         ``"conjunction"`` uses Algorithm 1 w.r.t. the dependency lhs sets;
         ``"naive"`` uses the endpoint-based baseline (ablation knob).
@@ -394,7 +407,6 @@ def c_chase(
         a from-scratch run; only ``normalization="conjunction"`` stages
         participate.  ``None``/``False`` (default) turns recording off.
     """
-    nulls = null_factory if null_factory is not None else NullFactory()
     trace = ChaseTrace()
 
     record = incremental is not None and incremental is not False
@@ -412,7 +424,7 @@ def c_chase(
         record=record,
     )
     target = ConcreteInstance()
-    _run_st_phase(normalized_source, target, setting, nulls, variant, trace)
+    _run_st_phase(normalized_source, target, setting, variant, trace)
     pre_egd_target, target_report = _normalize(
         target,
         setting.lifted_egd_lhs_conjunctions(),

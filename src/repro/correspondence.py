@@ -89,9 +89,9 @@ def verify_correspondence(
     *engine* selects the chase engine mode for both procedures
     (``"delta"`` semi-naive rounds or ``"rescan"``);
     *shards*/*executor*/*incremental* configure the abstract chase's
-    region scheduler.  The correspondence is renaming-invariant, so
-    sharded null namespaces do not affect the verdict, and the
-    incremental schedule is byte-identical anyway.
+    region scheduler.  Sharded and incremental runs are byte-identical
+    to the unsharded from-scratch one (null names are Skolem terms of
+    their firings), so neither affects the verdict.
 
     *cchase_incremental* is the c-chase's fragment-level normalization
     replay (see :func:`repro.concrete.cchase.c_chase`): a previous run's

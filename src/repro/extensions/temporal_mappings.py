@@ -32,12 +32,12 @@ from dataclasses import dataclass
 
 from repro.errors import FormulaError
 from repro.abstract_view.abstract_instance import AbstractInstance, TemplateFact
-from repro.chase.nulls import NullFactory
+from repro.chase.nulls import skolem_names
 from repro.dependencies.dependency import SourceToTargetTGD
 from repro.relational.formulas import Conjunction
 from repro.relational.homomorphism import find_homomorphisms, has_homomorphism
 from repro.relational.parser import parse_implication
-from repro.relational.terms import GroundTerm, Variable
+from repro.relational.terms import AnnotatedNull, GroundTerm, Variable
 from repro.temporal.interval import Interval
 
 __all__ = [
@@ -163,7 +163,6 @@ class PastChaseResult:
 def past_chase(
     source: AbstractInstance,
     dependencies: tuple[PastTGD, ...] | list[PastTGD],
-    null_factory: NullFactory | None = None,
 ) -> PastChaseResult:
     """Materialize ♦⁻ witnesses: one per lhs match, placed just before the
     match's earliest firing.
@@ -171,9 +170,10 @@ def past_chase(
     For each dependency and each distinct exported-variable binding, find
     the earliest time ℓ0 at which the lhs fires; place the rhs (with fresh
     per-snapshot nulls for existential variables) at ``[ℓ0 − 1, ℓ0)``.
-    Firing at ℓ0 = 0 has an empty past: the chase fails.
+    Firing at ℓ0 = 0 has an empty past: the chase fails.  Witness nulls
+    are Skolem-named by the binding and the witness stamp.
     """
-    nulls = null_factory if null_factory is not None else NullFactory()
+    null_names: dict[str, tuple] = {}
     templates: list[TemplateFact] = []
     failures: list[str] = []
     witnesses = 0
@@ -197,8 +197,12 @@ def past_chase(
             extension: dict[Variable, GroundTerm] = dict(
                 zip(dependency.exported_variables, key, strict=True)
             )
-            for variable in dependency.existential_variables:
-                extension[variable] = nulls.fresh_annotated(stamp)
+            existentials = dependency.existential_variables
+            names = skolem_names(
+                null_names, f"{label}#{dep_index}", existentials, key, stamp
+            )
+            for variable, name in zip(existentials, names, strict=True):
+                extension[variable] = AnnotatedNull(name, stamp)
             for atom in dependency.rhs.atoms:
                 witness = atom.instantiate(extension)
                 templates.append(

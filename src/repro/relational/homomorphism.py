@@ -656,7 +656,7 @@ def _iter_flat_join_rows(
 # :func:`_iter_wcoj_rows` yields byte-identical rows in the identical
 # sequence to :func:`_iter_flat_join_rows`, for *any* plan shape.  The
 # property suite sweeps this equality; everything downstream (traces,
-# null numbering, goldens) is therefore unchanged by the mode switch.
+# egd step order, goldens) is therefore unchanged by the mode switch.
 
 
 def _plan_is_cyclic(plan: _FlatJoinPlan) -> bool:

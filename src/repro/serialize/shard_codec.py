@@ -100,7 +100,7 @@ __all__ = [
     "decode_setting",
 ]
 
-_MAGIC = b"TDX2"
+_MAGIC = b"TDX3"
 _BYTEORDER = 0 if sys.byteorder == "little" else 1
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -141,15 +141,10 @@ class ShardTask:
 
     *templates* is the source restricted to the block's span — a
     template is relevant iff its stamp overlaps the block, because block
-    regions are drawn from the canonical partition.  *prefix*/*counter*
-    reconstruct the shard's :class:`~repro.chase.nulls.NullFactory`
-    exactly, which is what keeps worker null numbering byte-identical
-    to an in-process run of the same block.
+    regions are drawn from the canonical partition.
     """
 
     shard: int
-    prefix: str
-    counter: int
     variant: str
     engine: str
     incremental: bool
@@ -883,9 +878,7 @@ def encode_shard_task(task: ShardTask) -> bytes:
     enc = _Encoder()
     body = enc.body
     body.append(task.shard)
-    body.append(task.counter)
     body.append(1 if task.incremental else 0)
-    body.append(enc.string(task.prefix))
     body.append(enc.string(task.variant))
     body.append(enc.string(task.engine))
     body.append(_encode_setting(enc, task.setting))
@@ -899,9 +892,7 @@ def encode_shard_task(task: ShardTask) -> bytes:
 def decode_shard_task(payload: bytes | memoryview) -> ShardTask:
     dec = _Decoder(payload, _MSG_TASK)
     shard = dec.read()
-    counter = dec.read()
     incremental = bool(dec.read())
-    prefix = dec.string()
     variant = dec.string()
     engine = dec.string()
     setting = _decode_setting(dec)
@@ -911,8 +902,6 @@ def decode_shard_task(payload: bytes | memoryview) -> ShardTask:
     templates = _decode_templates(dec)
     return ShardTask(
         shard=shard,
-        prefix=prefix,
-        counter=counter,
         variant=variant,
         engine=engine,
         incremental=incremental,
@@ -947,7 +936,6 @@ def encode_shard_outcome(outcome: ShardOutcome) -> bytes:
     body.append(report.shard)
     body.append(report.regions)
     body.append(enc.float_ref(report.seconds))
-    body.append(report.nulls_issued)
     if report.reuse is None:
         body.append(0)
     else:
@@ -995,13 +983,11 @@ def decode_shard_outcome(payload: bytes | memoryview) -> ShardOutcome:
     report_shard = dec.read()
     report_regions = dec.read()
     report_seconds = dec.floats[dec.read()]
-    report_nulls = dec.read()
     report_reuse = _decode_reuse(dec) if dec.read() else None
     report = ShardReport(
         shard=report_shard,
         regions=report_regions,
         seconds=report_seconds,
-        nulls_issued=report_nulls,
         reuse=report_reuse,
         remote=True,
     )

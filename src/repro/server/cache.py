@@ -12,8 +12,7 @@ Entries store the chase outcome as **pickled bytes** (target +
 :class:`~repro.concrete.cchase.CChaseReplayState`), not live objects:
 a hit materializes an independent object graph per session, so two
 sessions served from one entry can never alias each other's replay
-ledgers or mutate a shared target.  The canonical JSON rendering of the
-target is kept alongside so serving a hit does not even re-serialize.
+ledgers or mutate a shared target.
 
 Failed chases cache too — failure is as content-determined as success,
 and a repeated doomed request should consume zero chase work.
@@ -29,7 +28,6 @@ from typing import Any
 
 from repro.concrete.cchase import CChaseReplayState, CChaseResult
 from repro.concrete.concrete_instance import ConcreteInstance
-from repro.serialize.jsonio import concrete_instance_to_json
 
 __all__ = ["CachedChase", "ChaseCache"]
 
@@ -40,7 +38,6 @@ class CachedChase:
 
     digest: str
     payload: bytes = field(repr=False)
-    target_json: dict = field(repr=False)
     facts: int
     steps: int
     failed: bool
@@ -51,7 +48,6 @@ class CachedChase:
         return cls(
             digest=digest,
             payload=pickle.dumps((result.target, result.replay_state)),
-            target_json=concrete_instance_to_json(result.target),
             facts=len(result.target),
             steps=len(result.trace),
             failed=result.failed,

@@ -522,7 +522,6 @@ class SessionManager:
                 {
                     "shard": report.shard,
                     "regions": report.regions,
-                    "nulls": report.nulls_issued,
                     "ms": round(report.seconds * 1000.0, 3),
                     "remote": report.remote,
                 }

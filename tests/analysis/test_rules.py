@@ -54,3 +54,17 @@ def test_select_limits_to_one_rule():
     # must come back empty.
     assert analyze_file(fixture("TDX005", "bad"), select=["TDX006"]) == []
     assert analyze_file(fixture("TDX005", "bad"), select=["TDX005"])
+
+
+def test_salted_hash_in_null_naming_module_is_reported(tmp_path):
+    # Skolem null names cross processes and persist in the chase cache
+    # and the session spool, so repro.chase.nulls is a persist module.
+    path = tmp_path / "repro" / "chase" / "nulls.py"
+    path.parent.mkdir(parents=True)
+    path.write_text(
+        "def skolem_names(binding):\n"
+        "    return 'N' + format(hash(binding) & 0xFFFF, 'x')\n"
+    )
+    findings = analyze_file(path)
+    assert [item.rule for item in findings] == ["TDX005"]
+    assert "repro.chase.nulls" in findings[0].message

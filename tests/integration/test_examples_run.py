@@ -51,6 +51,7 @@ class TestExamples:
         out = run_example("ride_share.py")
         assert "no certain answers" in out
         assert "(dana)" in out and "(errol)" in out
+        assert "sharded result identical to the serial one: True" in out
 
     def test_event_stream(self):
         out = run_example("event_stream.py")

@@ -4,8 +4,8 @@ The incremental mode replays the previous region's recorded firing
 sequence against the patched snapshot; the hard requirement is that
 everything observable is identical to chasing every region from scratch
 — the abstract solution, the per-region targets, the full traces (null
-*names* included, since replay re-mints fresh nulls under the same
-counter), failures and their regions.  Hypothesis drives the comparison
+*names* included: replayed firings keep their Skolem-named nulls),
+failures and their regions.  Hypothesis drives the comparison
 over generated employment histories, a failure-heavy key-clash mapping,
 and the sharded scheduler (each shard is its own incremental chain).
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 
 from repro.abstract_view import abstract_chase, semantics
-from repro.chase.nulls import NullFactory
 from repro.dependencies import DataExchangeSetting
 from repro.relational import Schema
 
@@ -75,11 +74,9 @@ class TestIncrementalEqualsFull:
         abstract = semantics(source)
         incremental = abstract_chase(
             abstract, JOIN_SETTING, incremental=True,
-            null_factory=NullFactory(),
         )
         full = abstract_chase(
             abstract, JOIN_SETTING, incremental=False,
-            null_factory=NullFactory(),
         )
         _assert_byte_identical(incremental, full)
 
@@ -89,11 +86,9 @@ class TestIncrementalEqualsFull:
         abstract = semantics(source)
         incremental = abstract_chase(
             abstract, CLASH_SETTING, incremental=True,
-            null_factory=NullFactory(),
         )
         full = abstract_chase(
             abstract, CLASH_SETTING, incremental=False,
-            null_factory=NullFactory(),
         )
         _assert_byte_identical(incremental, full)
 
@@ -103,10 +98,8 @@ class TestIncrementalEqualsFull:
         abstract = semantics(source)
         incremental = abstract_chase(
             abstract, JOIN_SETTING, incremental=True, shards=3,
-            null_factory=NullFactory(),
         )
         full = abstract_chase(
             abstract, JOIN_SETTING, incremental=False, shards=3,
-            null_factory=NullFactory(),
         )
         _assert_byte_identical(incremental, full)

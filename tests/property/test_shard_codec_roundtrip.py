@@ -1,11 +1,11 @@
 """Property tests: serialization round trips preserve everything.
 
-Three codecs cross the process boundary of the ``processes`` executor:
-the shard-codec binary format (tasks and outcomes), pickle (whatever a
-user-supplied pool does to auxiliary state), and the null factory's
-``(prefix, counter)`` reconstruction.  Hypothesis checks that each is
-lossless on generated data: instance equality, index-backed lookups,
-snapshot semantics, shard reports, and null-name transcripts.
+Two codecs cross the process boundary of the ``processes`` executor:
+the shard-codec binary format (tasks and outcomes) and pickle (whatever
+a user-supplied pool does to auxiliary state).  Hypothesis checks that
+each is lossless on generated data: instance equality, index-backed
+lookups, snapshot semantics and shard reports — and that a pooled
+sharded chase is byte-identical to the unsharded one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.abstract_view import abstract_chase, semantics
 from repro.abstract_view.abstract_chase import ShardReport
 from repro.chase.incremental import RegionReuseStats
-from repro.chase.nulls import NullFactory
 from repro.dependencies import DataExchangeSetting
 from repro.relational import (
     AnnotatedNull,
@@ -138,29 +137,6 @@ class TestSnapshotRoundTrips:
         assert decoded.regions() == abstract.regions()
 
 
-class TestNullNameTranscripts:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        prefix=st.sampled_from(("N", "Ns0_", "Ng2s1_")),
-        warmup=st.integers(min_value=0, max_value=20),
-        issue=st.integers(min_value=1, max_value=10),
-    )
-    def test_factory_reconstruction_matches_original(
-        self, prefix, warmup, issue
-    ):
-        original = NullFactory(prefix=prefix)
-        for _ in range(warmup):
-            original.fresh()
-        # Both boundary crossings: pickle, and the shard task's
-        # (prefix, counter) reconstruction used by _process_worker.
-        pickled = pickle.loads(pickle.dumps(original))
-        rebuilt = NullFactory(prefix=prefix)
-        rebuilt.fast_forward(original.issued)
-        produced = [original.fresh().name for _ in range(issue)]
-        assert [pickled.fresh().name for _ in range(issue)] == produced
-        assert [rebuilt.fresh().name for _ in range(issue)] == produced
-
-
 class TestShardReportRoundTrips:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -169,7 +145,6 @@ class TestShardReportRoundTrips:
         seconds=st.floats(
             min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
         ),
-        nulls=st.integers(min_value=0, max_value=10**9),
         stats=st.one_of(
             st.none(),
             st.builds(
@@ -185,13 +160,12 @@ class TestShardReportRoundTrips:
         ),
     )
     def test_report_survives_outcome_payload(
-        self, shard, regions, seconds, nulls, stats
+        self, shard, regions, seconds, stats
     ):
         report = ShardReport(
             shard=shard,
             regions=regions,
             seconds=seconds,
-            nulls_issued=nulls,
             reuse=stats,
             remote=True,
         )
@@ -220,26 +194,21 @@ def shared_pool():
 
 
 class TestProcessesEqualsSerial:
-    """The acceptance property: processes ≡ serial, byte for byte."""
+    """The acceptance property: sharded processes ≡ unsharded serial,
+    byte for byte."""
 
     @settings(max_examples=12, deadline=None)
     @given(source=employment_instances(max_facts=8))
     def test_sharded_processes_byte_identical(self, shared_pool, source):
         abstract = semantics(source)
-        serial = abstract_chase(
-            abstract, JOIN_SETTING, shards=2, null_factory=NullFactory()
-        )
+        serial = abstract_chase(abstract, JOIN_SETTING)
         procs = abstract_chase(
-            abstract,
-            JOIN_SETTING,
-            shards=2,
-            executor=shared_pool,
-            null_factory=NullFactory(),
+            abstract, JOIN_SETTING, shards=2, executor=shared_pool
         )
         assert procs.failed == serial.failed
         assert procs.failed_region == serial.failed_region
         assert str(procs.failure) == str(serial.failure)
-        assert procs.target == serial.target
+        assert procs.target.templates == serial.target.templates
         assert list(procs.region_results) == list(serial.region_results)
         for region in serial.region_results:
             assert (

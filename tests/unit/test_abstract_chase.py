@@ -9,7 +9,6 @@ from repro.abstract_view import (
     is_solution,
     semantics,
 )
-from repro.chase import NullFactory
 from repro.concrete import ConcreteInstance, concrete_fact
 from repro.dependencies import DataExchangeSetting
 from repro.errors import ChaseFailureError, InstanceError
@@ -54,12 +53,6 @@ class TestSuccessfulChase:
         result = abstract_chase(AbstractInstance.empty(), setting)
         assert result.succeeded
         assert not result.target
-
-    def test_null_factory_shared_across_regions(self, abstract_source, setting):
-        factory = NullFactory()
-        abstract_chase(abstract_source, setting, null_factory=factory)
-        # Several regions produced nulls; all names distinct by counter.
-        assert factory.issued >= 3
 
 
 class TestFailingChase:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chase import NullFactory, chase_snapshot, snapshot_satisfies
+from repro.chase import chase_snapshot, snapshot_satisfies
 from repro.dependencies import DataExchangeSetting
 from repro.errors import ChaseFailureError
 from repro.relational import Constant, Instance, LabeledNull, Schema, fact
@@ -59,14 +59,6 @@ class TestTgdPhase:
         result = chase_snapshot(snapshot, setting)
         nulls = result.target.nulls()
         assert len(nulls) == 2  # one unknown salary per person
-
-    def test_null_factory_controls_names(self, setting):
-        snapshot = Instance([fact("E", "Ada", "IBM")])
-        result = chase_snapshot(
-            snapshot, setting, null_factory=NullFactory(prefix="X")
-        )
-        (null,) = result.target.nulls()
-        assert null.name == "X1"
 
     def test_empty_source_chases_to_empty(self, setting):
         result = chase_snapshot(Instance(), setting)

@@ -2,9 +2,8 @@
 
 Covers the pieces the chase procedures compose: in-place substitution
 with delta reporting (both instance kinds), semi-naive equation
-enumeration, the shard-partitioned null factory (the regression target:
-no name collisions across shards, ever), and the scheduler's
-deterministic merge including per-shard reports.
+enumeration, and the scheduler's deterministic merge — byte-identical to
+the unsharded run — including per-shard reports.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.abstract_view import abstract_chase, semantics
-from repro.abstract_view.hom import homomorphically_equivalent
-from repro.chase.nulls import NullFactory
 from repro.concrete import ConcreteInstance, concrete_fact
 from repro.relational import Constant, Instance, LabeledNull, fact
 from repro.relational.formulas import Atom
@@ -120,56 +117,6 @@ class TestDeltaEnumeration:
         assert (n1, n1) not in delta
 
 
-class TestShardedNullFactory:
-    def test_shard_namespaces_never_collide(self):
-        """Regression: names issued by different shards (and the base
-        factory) must be pairwise distinct regardless of interleaving."""
-        base = NullFactory()
-        shards = [base.for_shard(index) for index in range(4)]
-        issued: list[str] = []
-        for _round_index in range(50):
-            for factory in shards:
-                issued.append(factory.fresh_name())
-            issued.append(base.fresh_name())
-        assert len(issued) == len(set(issued))
-
-    def test_shard_names_are_deterministic(self):
-        factory = NullFactory().for_shard(2)
-        assert factory.fresh_name() == "Ns2_1"
-        assert factory.fresh_name() == "Ns2_2"
-
-    def test_nested_sharding_stays_collision_free(self):
-        base = NullFactory(prefix="M")
-        inner = [base.for_shard(0).for_shard(i) for i in range(2)]
-        names = {f.fresh_name() for f in inner} | {base.for_shard(0).fresh_name()}
-        assert len(names) == 3
-
-    def test_repeated_sharded_runs_on_one_factory_stay_disjoint(self):
-        """Regression: two sharded abstract chases sharing one base
-        factory must not reissue the same null names."""
-        from repro.abstract_view import abstract_chase, semantics
-        from repro.workloads import (
-            exchange_setting_join,
-            random_employment_history,
-        )
-
-        setting = exchange_setting_join()
-        abstract = semantics(
-            random_employment_history(people=2, timeline=12, seed=3).instance
-        )
-        shared = NullFactory()
-        first = abstract_chase(
-            abstract, setting, null_factory=shared, shards=2
-        )
-        second = abstract_chase(
-            abstract, setting, null_factory=shared, shards=2
-        )
-        first_names = {n.base for n in first.target.per_snapshot_nulls()}
-        second_names = {n.base for n in second.target.per_snapshot_nulls()}
-        assert first_names and second_names
-        assert first_names.isdisjoint(second_names)
-
-
 class TestRegionScheduler:
     SETTING = exchange_setting_join()
 
@@ -177,37 +124,35 @@ class TestRegionScheduler:
         workload = random_employment_history(people=3, timeline=20, seed=5)
         return semantics(workload.instance)
 
+    @staticmethod
+    def _assert_matches_unsharded(sharded, unsharded):
+        assert sharded.succeeded
+        assert len(sharded.shard_reports) > 1
+        assert sharded.target.templates == unsharded.target.templates
+        assert list(sharded.region_results) == list(unsharded.region_results)
+        for region, expected in unsharded.region_results.items():
+            actual = sharded.region_results[region]
+            assert actual.target == expected.target, region
+            assert [repr(step) for step in actual.trace.steps] == [
+                repr(step) for step in expected.trace.steps
+            ], region
+
     def test_sharded_result_equivalent_to_serial(self):
         abstract = self._abstract()
         serial = abstract_chase(abstract, self.SETTING)
+        assert serial.target.per_snapshot_nulls()
         for shards in (2, 3, 16):
             sharded = abstract_chase(abstract, self.SETTING, shards=shards)
-            assert sharded.succeeded
-            assert homomorphically_equivalent(sharded.target, serial.target)
-            assert set(sharded.region_results) == set(serial.region_results)
-
-    def test_sharded_null_names_disjoint_across_shards(self):
-        abstract = self._abstract()
-        result = abstract_chase(abstract, self.SETTING, shards=3)
-        per_shard: dict[str, set[str]] = {}
-        for null in result.target.per_snapshot_nulls():
-            assert null.base.startswith("Ns")
-            shard_tag = null.base.split("_", 1)[0]
-            per_shard.setdefault(shard_tag, set()).add(null.base)
-        assert len(per_shard) > 1  # the work really was partitioned
-        for tag, names in per_shard.items():
-            for other_tag, other_names in per_shard.items():
-                if tag != other_tag:
-                    assert names.isdisjoint(other_names)
+            self._assert_matches_unsharded(sharded, serial)
 
     def test_threads_executor_matches_serial_executor(self):
         abstract = self._abstract()
-        serial = abstract_chase(abstract, self.SETTING, shards=3)
+        serial = abstract_chase(abstract, self.SETTING)
         threaded = abstract_chase(
             abstract, self.SETTING, shards=3, executor="threads"
         )
-        assert threaded.target == serial.target
-        assert len(threaded.shard_reports) == len(serial.shard_reports) == 3
+        self._assert_matches_unsharded(threaded, serial)
+        assert len(threaded.shard_reports) == 3
 
     def test_shard_reports_account_for_all_regions(self):
         abstract = self._abstract()
@@ -220,7 +165,7 @@ class TestRegionScheduler:
     def test_shards_one_is_byte_identical_to_legacy(self):
         abstract = self._abstract()
         one = abstract_chase(abstract, self.SETTING, shards=1)
-        # Null names come from the single shared factory: N1, N2, …
+        # Skolem null names: "N" plus 16 hex digits, no shard tag.
         names = {null.base for null in one.target.per_snapshot_nulls()}
         assert all(name.startswith("N") and "_" not in name for name in names)
 

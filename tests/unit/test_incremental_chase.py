@@ -1,9 +1,8 @@
 """Unit tests for the incremental cross-region chase (PR 3).
 
-Covers the region-delta sweep's edge cases, the null factory's replay
-surface, byte-identity of the incremental region chain against the
-from-scratch reference, and shard-failure propagation through
-:class:`AbstractChaseResult`.
+Covers the region-delta sweep's edge cases, byte-identity of the
+incremental region chain against the from-scratch reference, and
+shard-failure propagation through :class:`AbstractChaseResult`.
 """
 
 import importlib
@@ -13,7 +12,6 @@ import pytest
 from repro.abstract_view import AbstractInstance, abstract_chase, semantics
 from repro.abstract_view.abstract_instance import TemplateFact
 from repro.chase import IncrementalRegionChaser, RegionReuseStats, chase_snapshot
-from repro.chase.nulls import NullFactory
 from repro.concrete import ConcreteInstance
 from repro.concrete.concrete_fact import concrete_fact
 from repro.dependencies import DataExchangeSetting
@@ -123,40 +121,12 @@ class TestIdenticalSnapshotsReplay:
         assert stats.fully_replayed
         assert stats.live_matches == 0 and stats.live_firings == 0
         assert stats.replayed_firings == 1
-        # ... and the null numbering still advances exactly as from
-        # scratch: each region mints its own null.
+        # ... and the result equals the from-scratch one: each region
+        # annotates the (Skolem-named) null with its own interval.
         full = abstract_chase(source, self.SETTING, incremental=False)
         assert sorted(map(str, result.target.templates)) == sorted(
             map(str, full.target.templates)
         )
-
-
-class TestNullFactoryReplay:
-    def test_state_restore_roundtrip(self):
-        factory = NullFactory()
-        factory.fresh()
-        mark = factory.state()
-        first = [factory.fresh() for _ in range(3)]
-        factory.restore(mark)
-        second = [factory.fresh() for _ in range(3)]
-        assert [n.name for n in first] == [n.name for n in second]
-
-    def test_restore_validates_bounds(self):
-        factory = NullFactory()
-        factory.fresh()
-        with pytest.raises(ValueError):
-            factory.restore(5)
-        with pytest.raises(ValueError):
-            factory.restore(-1)
-
-    def test_reissue_preserves_order_and_count(self):
-        recording = NullFactory()
-        transcript = [recording.fresh() for _ in range(4)]
-        replaying = NullFactory()
-        replaying.fresh()  # shift the counter
-        rename = replaying.reissue(transcript)
-        assert list(rename) == transcript
-        assert [n.name for n in rename.values()] == ["N2", "N3", "N4", "N5"]
 
 
 class TestIncrementalChainByteIdentity:
@@ -178,13 +148,10 @@ class TestIncrementalChainByteIdentity:
     ):
         setting = setting_factory()
         source = semantics(workload_factory().instance)
-        chaser = IncrementalRegionChaser(setting, NullFactory())
-        reference_nulls = NullFactory()
+        chaser = IncrementalRegionChaser(setting)
         for region, snapshot, added, removed in source.iter_region_deltas():
             incremental, _stats = chaser.chase(snapshot, added, removed)
-            reference = chase_snapshot(
-                snapshot, setting, null_factory=reference_nulls
-            )
+            reference = chase_snapshot(snapshot, setting)
             assert incremental.failed == reference.failed, region
             assert sorted(map(str, incremental.target.facts())) == sorted(
                 map(str, reference.target.facts())

@@ -7,7 +7,6 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.abstract_view import AbstractInstance, TemplateFact, abstract_chase, semantics
-from repro.chase import NullFactory
 from repro.concrete import ConcreteInstance, concrete_fact
 from repro.dependencies import DataExchangeSetting
 from repro.errors import (
@@ -38,11 +37,15 @@ def _org_abstract(people=8, timeline=32, seed=3):
 
 
 def _assert_identical(lhs, rhs):
-    """Everything observable matches, null names and traces included."""
+    """Everything observable matches, null names and traces included.
+
+    *rhs* is the unsharded serial run: Skolem null names make a region's
+    output independent of which shard, executor or process chased it.
+    """
     assert lhs.failed == rhs.failed
     assert lhs.failed_region == rhs.failed_region
     assert str(lhs.failure) == str(rhs.failure)
-    assert lhs.target == rhs.target
+    assert lhs.target.templates == rhs.target.templates
     assert list(lhs.region_results) == list(rhs.region_results)
     for region in rhs.region_results:
         assert (
@@ -52,6 +55,10 @@ def _assert_identical(lhs, rhs):
         assert [str(s) for s in lhs.region_results[region].trace.steps] == [
             str(s) for s in rhs.region_results[region].trace.steps
         ], region
+
+
+def _assert_same_reuse(lhs, rhs):
+    """Same shard layout, same per-region replay accounting."""
     assert {r: vars(v) for r, v in lhs.region_reuse.items()} == {
         r: vars(v) for r, v in rhs.region_reuse.items()
     }
@@ -60,16 +67,20 @@ def _assert_identical(lhs, rhs):
 class TestProcessExecutorParity:
     def test_identical_to_serial_sharded(self):
         abstract = _org_abstract()
+        unsharded = abstract_chase(abstract, ORG_SETTING)
         serial = abstract_chase(abstract, ORG_SETTING, shards=3)
         procs = abstract_chase(
             abstract, ORG_SETTING, shards=3, executor="processes"
         )
-        _assert_identical(procs, serial)
+        _assert_identical(procs, unsharded)
+        _assert_identical(serial, unsharded)
+        _assert_same_reuse(procs, serial)
         assert all(report.remote for report in procs.shard_reports)
         assert not any(report.remote for report in serial.shard_reports)
 
     def test_identical_on_from_scratch_schedule(self):
         abstract = _org_abstract()
+        unsharded = abstract_chase(abstract, ORG_SETTING, incremental=False)
         serial = abstract_chase(
             abstract, ORG_SETTING, shards=2, incremental=False
         )
@@ -80,7 +91,9 @@ class TestProcessExecutorParity:
             executor="processes",
             incremental=False,
         )
-        _assert_identical(procs, serial)
+        _assert_identical(procs, unsharded)
+        _assert_identical(serial, unsharded)
+        _assert_same_reuse(procs, serial)
         assert all(report.reuse is None for report in procs.shard_reports)
 
     def test_failure_parity(self):
@@ -90,37 +103,29 @@ class TestProcessExecutorParity:
                 TemplateFact("E", (Constant("a"), Constant("c")), Interval(2, 6)),
             ]
         )
+        unsharded = abstract_chase(source, CLASH_SETTING)
         serial = abstract_chase(source, CLASH_SETTING, shards=2)
         procs = abstract_chase(
             source, CLASH_SETTING, shards=2, executor="processes"
         )
-        _assert_identical(procs, serial)
+        _assert_identical(procs, unsharded)
+        _assert_identical(serial, unsharded)
+        _assert_same_reuse(procs, serial)
         assert procs.failed and procs.failed_shard == serial.failed_shard
         with pytest.raises(ChaseFailureError, match="shard 0"):
             procs.unwrap()
 
     def test_pool_instance_is_reused(self):
         abstract = _org_abstract()
+        unsharded = abstract_chase(abstract, ORG_SETTING)
         serial = abstract_chase(abstract, ORG_SETTING, shards=2)
         with ProcessPoolExecutor(max_workers=2) as pool:
             first = abstract_chase(abstract, ORG_SETTING, shards=2, executor=pool)
             second = abstract_chase(abstract, ORG_SETTING, shards=2, executor=pool)
-        _assert_identical(first, serial)
-        _assert_identical(second, serial)
-
-    def test_shared_base_factory_advances(self):
-        abstract = _org_abstract()
-        base = NullFactory()
-        result = abstract_chase(
-            abstract, ORG_SETTING, null_factory=base, executor="processes"
-        )
-        assert result.succeeded
-        assert base.issued == result.shard_reports[0].nulls_issued > 0
-        # A second run off the same factory must not repeat null names.
-        again = abstract_chase(abstract, ORG_SETTING, null_factory=base)
-        first_nulls = {n.base for n in result.target.per_snapshot_nulls()}
-        second_nulls = {n.base for n in again.target.per_snapshot_nulls()}
-        assert first_nulls.isdisjoint(second_nulls)
+        _assert_identical(first, unsharded)
+        _assert_identical(second, unsharded)
+        _assert_same_reuse(first, serial)
+        _assert_same_reuse(second, serial)
 
     def test_workers_validation(self):
         abstract = _org_abstract()
@@ -231,17 +236,6 @@ class TestPickleSupport:
         clone = pickle.loads(pickle.dumps(item))
         assert clone == item and hash(clone) == hash(item)
         assert clone.sort_key() == item.sort_key()
-
-    def test_null_factory_transcript_survives(self):
-        factory = NullFactory()
-        factory.fresh()
-        factory.fresh()
-        clone = pickle.loads(pickle.dumps(factory))
-        assert clone.fresh().name == factory.fresh().name
-        assert clone.fresh_annotated(Interval(0, 2)) == factory.fresh_annotated(
-            Interval(0, 2)
-        )
-        assert clone.for_shard(1, 2).prefix == factory.for_shard(1, 2).prefix
 
     def test_remote_shard_error_pickles(self):
         error = pickle.loads(

@@ -133,8 +133,6 @@ class TestTaskMessage:
         regions = abstract.regions()[:3]
         task = shard_codec.ShardTask(
             shard=2,
-            prefix="Ns2_",
-            counter=7,
             variant="standard",
             engine="delta",
             incremental=True,
@@ -146,8 +144,6 @@ class TestTaskMessage:
             shard_codec.encode_shard_task(task)
         )
         assert decoded.shard == 2
-        assert decoded.prefix == "Ns2_"
-        assert decoded.counter == 7
         assert decoded.variant == "standard"
         assert decoded.engine == "delta"
         assert decoded.incremental is True
@@ -166,10 +162,10 @@ def _outcome_fixture() -> shard_codec.ShardOutcome:
     minted = TgdStepRecord(
         dependency="σ1",
         assignment={Variable("n"): Constant("bob")},
-        added_facts=(fact("Emp", "bob", "hp", LabeledNull("Ns0_1")),),
-        fresh_nulls=(LabeledNull("Ns0_1"),),
+        added_facts=(fact("Emp", "bob", "hp", LabeledNull("N5f0c1a2b3d4e6f70")),),
+        fresh_nulls=(LabeledNull("N5f0c1a2b3d4e6f70"),),
     )
-    egd = EgdStepRecord("ε1", LabeledNull("Ns0_1"), Constant("20k"))
+    egd = EgdStepRecord("ε1", LabeledNull("N5f0c1a2b3d4e6f70"), Constant("20k"))
     result_a = SnapshotChaseResult(
         target=Instance([fact("Emp", "ada", "ibm", "10k")])
     )
@@ -192,7 +188,6 @@ def _outcome_fixture() -> shard_codec.ShardOutcome:
         shard=0,
         regions=2,
         seconds=0.125,
-        nulls_issued=4,
         reuse=reuse,
         remote=True,
     )
@@ -254,9 +249,9 @@ class TestOutcomeMessage:
         minted = decoded.results[1][1].trace.steps[1]
         assert isinstance(minted, TgdStepRecord)
         assert minted.assignment == {Variable("n"): Constant("bob")}
-        assert minted.fresh_nulls == (LabeledNull("Ns0_1"),)
+        assert minted.fresh_nulls == (LabeledNull("N5f0c1a2b3d4e6f70"),)
         assert minted.added_facts == (
-            fact("Emp", "bob", "hp", LabeledNull("Ns0_1")),
+            fact("Emp", "bob", "hp", LabeledNull("N5f0c1a2b3d4e6f70")),
         )
 
     def test_failure_roundtrip(self):
@@ -272,7 +267,7 @@ class TestOutcomeMessage:
             results=((region, result),),
             region_reuse={},
             error=None,
-            report=ShardReport(1, 1, 0.0, 0, None, remote=True),
+            report=ShardReport(1, 1, 0.0, None, remote=True),
             merged_templates=(),
         )
         decoded = shard_codec.decode_shard_outcome(
@@ -290,7 +285,7 @@ class TestOutcomeMessage:
             results=(),
             region_reuse={},
             error=error,
-            report=ShardReport(3, 0, 0.0, 0, None, remote=True),
+            report=ShardReport(3, 0, 0.0, None, remote=True),
             merged_templates=(),
         )
         decoded = shard_codec.decode_shard_outcome(

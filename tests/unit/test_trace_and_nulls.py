@@ -1,32 +1,81 @@
-"""Unit tests for chase traces, null factories and error types."""
+"""Unit tests for chase traces, Skolem null names and error types."""
 
+import re
 
-from repro.chase import ChaseTrace, NullFactory
+import pytest
+
+from repro.abstract_view import abstract_chase, semantics
+from repro.chase import ChaseTrace, NullNameCollisionError, chase_snapshot, nulls
 from repro.chase.trace import EgdStepRecord, FailureRecord, TgdStepRecord
+from repro.concrete import c_chase
+from repro.dependencies import DataExchangeSetting, SourceToTargetTGD
 from repro.errors import ChaseFailureError, ParseError, ReproError, TemporalError
-from repro.relational import Constant, LabeledNull, fact
-from repro.temporal import Interval
+from repro.relational import Constant, Instance, LabeledNull, Schema, fact
+from repro.workloads import (
+    employment_setting,
+    employment_source_concrete,
+    exchange_setting_org,
+    random_org_history,
+)
 
 
-class TestNullFactory:
-    def test_sequential_names(self):
-        factory = NullFactory()
-        assert factory.fresh() == LabeledNull("N1")
-        assert factory.fresh() == LabeledNull("N2")
-        assert factory.issued == 2
+def _org_source():
+    return random_org_history(people=6, timeline=48, seed=11).instance
 
-    def test_prefix(self):
-        factory = NullFactory(prefix="Z")
-        assert factory.fresh().name == "Z1"
 
-    def test_annotated(self):
-        factory = NullFactory()
-        null = factory.fresh_annotated(Interval(2, 5))
-        assert null.base == "N1" and null.annotation == Interval(2, 5)
+class TestSkolemNullNames:
+    def test_names_are_fixed_width_digests(self):
+        result = c_chase(employment_source_concrete(), employment_setting())
+        bases = {null.base for null in result.pre_egd_target.nulls()}
+        assert len(bases) == 5
+        assert all(re.fullmatch(r"N[0-9a-f]{16}", base) for base in bases)
 
-    def test_independent_factories(self):
-        a, b = NullFactory(), NullFactory()
-        assert a.fresh() == b.fresh()  # both N1: scoping is per-factory
+    def test_digest_collision_raises_instead_of_merging(self, monkeypatch):
+        monkeypatch.setattr(nulls, "_digest", lambda text: "0" * 16)
+        with pytest.raises(NullNameCollisionError, match="N0000000000000000"):
+            c_chase(employment_source_concrete(), employment_setting())
+
+    def test_null_keeps_its_name(self):
+        """Across runs, shard counts and incremental/from-scratch schedules."""
+        source = _org_source()
+        setting = exchange_setting_org()
+        first = c_chase(source, setting).target
+        assert first.nulls()
+        assert c_chase(source, setting).target == first
+
+        abstract = semantics(source)
+        reference = abstract_chase(abstract, setting).target.templates
+        assert any(template.per_snapshot_nulls() for template in reference)
+        for shards in (1, 2, 5):
+            for incremental in (True, False):
+                result = abstract_chase(
+                    abstract, setting, shards=shards, incremental=incremental
+                )
+                assert result.target.templates == reference, (shards, incremental)
+
+    def test_oblivious_firings_never_share_nulls(self):
+        setting = DataExchangeSetting.create(
+            Schema.of(P=("X", "Y")),
+            Schema.of(T=("X", "Z")),
+            st_tgds=["P(x, y) -> EXISTS z . T(x, z)"],
+        )
+        snapshot = Instance([fact("P", "a", "b"), fact("P", "a", "c")])
+        standard = chase_snapshot(snapshot, setting)
+        oblivious = chase_snapshot(snapshot, setting, variant="oblivious")
+        assert len(standard.target.nulls()) == 1
+        assert len(oblivious.target.nulls()) == 2
+
+    def test_equally_named_tgds_mint_distinct_nulls(self):
+        setting = DataExchangeSetting(
+            Schema.of(P=("X",)),
+            Schema.of(T=("X", "Z"), U=("X", "Z")),
+            st_tgds=(
+                SourceToTargetTGD.parse("P(x) -> EXISTS z . T(x, z)", name="σ"),
+                SourceToTargetTGD.parse("P(x) -> EXISTS z . U(x, z)", name="σ"),
+            ),
+        )
+        result = chase_snapshot(Instance([fact("P", "a")]), setting)
+        assert len(result.target.nulls()) == 2
 
 
 class TestChaseTrace:
