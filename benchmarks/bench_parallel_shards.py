@@ -6,13 +6,12 @@ to a worker process in the shard-codec wire format and runs them truly
 in parallel.  These benchmarks compare the serial executor against a
 *warm* four-worker pool (pool startup is a one-time cost a server pays
 once, so it stays outside the timed region) on the largest
-``bench_scale_incremental`` workload, for both the incremental and the
-from-scratch schedule.
+``bench_scale_incremental`` workload.
 
 What to expect depends on the machine: the wall-clock win is bounded by
 the parent's serial share (task encode, outcome decode, merge concat —
-measured at roughly a third of the serial runtime on the incremental
-schedule, far less on the from-scratch one) and by the CPU count.  On a
+measured at roughly a third of the serial runtime) and by the CPU
+count.  On a
 single-core container the processes executor *loses* — the workers
 timeslice one core and the codec overhead is pure addition; the numbers
 are honest either way, and the summary emits the observed ratio.
@@ -48,37 +47,21 @@ def pool():
         yield executor
 
 
-@pytest.mark.parametrize("incremental", [True, False], ids=["incr", "full"])
-def test_parallel_serial_baseline(benchmark, abstract, incremental):
+def test_parallel_serial_baseline(benchmark, abstract):
     result = benchmark(
         lambda: abstract_chase(
-            abstract,
-            ORG_SETTING,
-            shards=SHARDS,
-            executor="serial",
-            incremental=incremental,
+            abstract, ORG_SETTING, shards=SHARDS, executor="serial"
         )
     )
     assert result.succeeded
 
 
-@pytest.mark.parametrize("incremental", [True, False], ids=["incr", "full"])
-def test_parallel_process_pool(benchmark, abstract, pool, incremental):
+def test_parallel_process_pool(benchmark, abstract, pool):
     # One throwaway run forks/warms the workers before timing starts.
-    abstract_chase(
-        abstract,
-        ORG_SETTING,
-        shards=SHARDS,
-        executor=pool,
-        incremental=incremental,
-    )
+    abstract_chase(abstract, ORG_SETTING, shards=SHARDS, executor=pool)
     result = benchmark(
         lambda: abstract_chase(
-            abstract,
-            ORG_SETTING,
-            shards=SHARDS,
-            executor=pool,
-            incremental=incremental,
+            abstract, ORG_SETTING, shards=SHARDS, executor=pool
         )
     )
     assert result.succeeded
@@ -86,41 +69,27 @@ def test_parallel_process_pool(benchmark, abstract, pool, incremental):
 
 
 def test_parallel_speedup_summary(benchmark, abstract, pool):
-    rows = []
-    for incremental in (True, False):
-        serial_times = []
-        pool_times = []
-        for _ in range(3):
-            started = time.perf_counter()
-            serial = abstract_chase(
-                abstract,
-                ORG_SETTING,
-                shards=SHARDS,
-                executor="serial",
-                incremental=incremental,
-            )
-            serial_times.append(time.perf_counter() - started)
-            started = time.perf_counter()
-            parallel = abstract_chase(
-                abstract,
-                ORG_SETTING,
-                shards=SHARDS,
-                executor=pool,
-                incremental=incremental,
-            )
-            pool_times.append(time.perf_counter() - started)
-        assert parallel.target == serial.target
-        ratio = min(serial_times) / min(pool_times)
-        label = "incremental" if incremental else "from-scratch"
-        rows.append(
-            f"  {label:>12}: serial {min(serial_times) * 1000:8.1f} ms, "
-            f"4-worker pool {min(pool_times) * 1000:8.1f} ms, "
-            f"speedup {ratio:5.2f}x"
+    serial_times = []
+    pool_times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        serial = abstract_chase(
+            abstract, ORG_SETTING, shards=SHARDS, executor="serial"
         )
+        serial_times.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        parallel = abstract_chase(
+            abstract, ORG_SETTING, shards=SHARDS, executor=pool
+        )
+        pool_times.append(time.perf_counter() - started)
+    assert parallel.target == serial.target
+    ratio = min(serial_times) / min(pool_times)
     emit(
         "SCALE-3: process-pool vs serial at 4 shards "
         "(org workload, people=128; pool pre-warmed)",
-        "\n".join(rows),
+        f"  serial {min(serial_times) * 1000:8.1f} ms, "
+        f"4-worker pool {min(pool_times) * 1000:8.1f} ms, "
+        f"speedup {ratio:5.2f}x",
     )
     benchmark(
         lambda: abstract_chase(
@@ -158,8 +127,6 @@ def _encode_tasks(abstract, blocks):
                 shard_codec.ShardTask(
                     shard=index,
                     variant="standard",
-                    engine="delta",
-                    incremental=True,
                     regions=block,
                     templates=templates,
                     setting=ORG_SETTING,
@@ -241,8 +208,6 @@ def _smoke_main(argv=None) -> int:
 
     workload = random_org_history(people=args.people, timeline=384, seed=17)
     abstract = semantics(workload.instance)
-    rows = []
-    ratios = []
     from contextlib import nullcontext
 
     pool_context = (
@@ -254,56 +219,40 @@ def _smoke_main(argv=None) -> int:
     with pool_context as executor:
         # Warm the pool (fork + import cost is a one-time server expense).
         abstract_chase(abstract, ORG_SETTING, shards=args.workers, executor=executor)
-        for incremental in (True, False):
-            serial_times, parallel_times = [], []
-            for _ in range(3):
-                started = time.perf_counter()
-                serial = abstract_chase(
-                    abstract,
-                    ORG_SETTING,
-                    shards=args.workers,
-                    executor="serial",
-                    incremental=incremental,
-                )
-                serial_times.append(time.perf_counter() - started)
-                started = time.perf_counter()
-                parallel = abstract_chase(
-                    abstract,
-                    ORG_SETTING,
-                    shards=args.workers,
-                    executor=executor,
-                    incremental=incremental,
-                )
-                parallel_times.append(time.perf_counter() - started)
-            if parallel.target != serial.target:
-                print("PARITY FAILURE: parallel target differs from serial")
-                return 1
-            ratio = min(serial_times) / min(parallel_times)
-            ratios.append(ratio)
-            label = "incremental" if incremental else "from-scratch"
-            # The parent's serial share of the last parallel run: task
-            # encode, outcome decode, merge (only the processes executor
-            # reports it — Amdahl's cap on the speedup column).
-            timings = parallel.parent_timings
-            if timings is not None:
-                transport = timings.transport
-                wire = (
-                    f"{timings.encode_seconds * 1000:.1f} / "
-                    f"{timings.decode_seconds * 1000:.1f} / "
-                    f"{timings.merge_seconds * 1000:.1f}"
-                )
-            else:
-                wire = "—"
-            rows.append(
-                f"| {label} | {min(serial_times) * 1000:.1f} ms "
-                f"| {min(parallel_times) * 1000:.1f} ms | {ratio:.2f}x "
-                f"| {wire} |"
+        serial_times, parallel_times = [], []
+        for _ in range(3):
+            started = time.perf_counter()
+            serial = abstract_chase(
+                abstract, ORG_SETTING, shards=args.workers, executor="serial"
             )
-            print(
-                f"{label}: serial {min(serial_times) * 1000:.1f} ms, "
-                f"{args.executor} {min(parallel_times) * 1000:.1f} ms, "
-                f"ratio {ratio:.2f}x, parent encode/decode/merge {wire} ms"
+            serial_times.append(time.perf_counter() - started)
+            started = time.perf_counter()
+            parallel = abstract_chase(
+                abstract, ORG_SETTING, shards=args.workers, executor=executor
             )
+            parallel_times.append(time.perf_counter() - started)
+    if parallel.target != serial.target:
+        print("PARITY FAILURE: parallel target differs from serial")
+        return 1
+    ratio = min(serial_times) / min(parallel_times)
+    # The parent's serial share of the last parallel run: task encode,
+    # outcome decode, merge (only the processes executor reports it —
+    # Amdahl's cap on the speedup column).
+    timings = parallel.parent_timings
+    if timings is not None:
+        transport = timings.transport
+        wire = (
+            f"{timings.encode_seconds * 1000:.1f} / "
+            f"{timings.decode_seconds * 1000:.1f} / "
+            f"{timings.merge_seconds * 1000:.1f}"
+        )
+    else:
+        wire = "—"
+    print(
+        f"serial {min(serial_times) * 1000:.1f} ms, "
+        f"{args.executor} {min(parallel_times) * 1000:.1f} ms, "
+        f"ratio {ratio:.2f}x, parent encode/decode/merge {wire} ms"
+    )
     summary = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary:
         try:
@@ -313,16 +262,17 @@ def _smoke_main(argv=None) -> int:
                     f"`--executor {args.executor} --workers {args.workers}` on "
                     f"{os.cpu_count()} CPUs, wire transport `{transport}` — "
                     "outputs byte-identical to serial.\n\n"
-                    "| schedule | serial | parallel | speedup "
-                    "| parent enc/dec/merge (ms) |\n"
-                    "|---|---:|---:|---:|---:|\n" + "\n".join(rows) + "\n"
+                    "| serial | parallel | speedup | parent enc/dec/merge (ms) |\n"
+                    "|---:|---:|---:|---:|\n"
+                    f"| {min(serial_times) * 1000:.1f} ms "
+                    f"| {min(parallel_times) * 1000:.1f} ms | {ratio:.2f}x "
+                    f"| {wire} |\n"
                 )
         except OSError as exc:  # pragma: no cover - CI file-system hiccup
             print(f"(could not write GITHUB_STEP_SUMMARY: {exc})", file=sys.stderr)
     print(
-        "PARALLEL-SMOKE: executor=%s workers=%d transport=%s "
-        "ratio_incr=%.2f ratio_full=%.2f"
-        % (args.executor, args.workers, transport, ratios[0], ratios[1])
+        "PARALLEL-SMOKE: executor=%s workers=%d transport=%s ratio=%.2f"
+        % (args.executor, args.workers, transport, ratio)
     )
     return 0
 

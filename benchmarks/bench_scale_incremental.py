@@ -1,23 +1,19 @@
-"""SCALE-2: incremental vs from-scratch cross-region abstract chase.
+"""SCALE-2: the incremental cross-region abstract chase.
 
 The abstract chase visits one snapshot per constancy region; adjacent
-region snapshots typically differ by a handful of facts.  The
-incremental mode (PR 3) replays the previous region's recorded firing
-sequence wherever the snapshot diff left it intact and is byte-identical
-to the from-scratch schedule, so these benchmarks time the *same*
-computation both ways.
+region snapshots typically differ by a handful of facts.  It replays the
+previous region's recorded firing sequence wherever the snapshot diff
+left it intact, byte-identical to chasing every region from scratch.
 
 Two regimes:
 
-* the org-chart workload (``random_org_history``) is the feature's
+* the org-chart workload (``random_org_history``) is the replay's
   target: region churn comes from short ``Task`` facts, while the heavy
   ``Dept ⋈ Emp`` reporting join is unchanged between almost all adjacent
-  regions and replays in the tight zero-allocation loop — incremental
-  wins by >2× at the largest sizes;
+  regions and replays in the tight zero-allocation loop;
 * the employment workload (``random_employment_history``) churns every
   relation at every breakpoint (job switches remove *and* add facts), so
-  most recorded decisions must be re-probed — incremental roughly ties
-  from-scratch there, which the regression gate keeps honest.
+  most recorded decisions must be re-probed.
 
 The summary benchmark prints reuse percentages for the sweep.
 """
@@ -49,36 +45,14 @@ def _org_abstract(people):
 @pytest.mark.parametrize("people", [32, 64, 128])
 def test_incremental_org_chase(benchmark, people):
     abstract = _org_abstract(people)
-    result = benchmark(
-        lambda: abstract_chase(abstract, ORG_SETTING, incremental=True)
-    )
-    assert result.succeeded
-
-
-@pytest.mark.parametrize("people", [32, 64, 128])
-def test_fullchase_org_chase(benchmark, people):
-    abstract = _org_abstract(people)
-    result = benchmark(
-        lambda: abstract_chase(abstract, ORG_SETTING, incremental=False)
-    )
+    result = benchmark(lambda: abstract_chase(abstract, ORG_SETTING))
     assert result.succeeded
 
 
 def test_incremental_employment_chase(benchmark):
     workload = random_employment_history(people=16, timeline=160, seed=17)
     abstract = semantics(workload.instance)
-    result = benchmark(
-        lambda: abstract_chase(abstract, JOIN_SETTING, incremental=True)
-    )
-    assert result.succeeded
-
-
-def test_fullchase_employment_chase(benchmark):
-    workload = random_employment_history(people=16, timeline=160, seed=17)
-    abstract = semantics(workload.instance)
-    result = benchmark(
-        lambda: abstract_chase(abstract, JOIN_SETTING, incremental=False)
-    )
+    result = benchmark(lambda: abstract_chase(abstract, JOIN_SETTING))
     assert result.succeeded
 
 
@@ -93,9 +67,7 @@ def test_replay_melting_org_chase(benchmark, people):
     copy-on-write region results eliminate.
     """
     abstract = semantics(melting_org_history(people).instance)
-    result = benchmark(
-        lambda: abstract_chase(abstract, ORG_SETTING, incremental=True)
-    )
+    result = benchmark(lambda: abstract_chase(abstract, ORG_SETTING))
     assert result.succeeded
     totals = result.reuse_totals()
     matches = totals.replayed_matches + totals.live_matches
@@ -106,7 +78,7 @@ def test_incremental_reuse_summary(benchmark):
     rows = []
     for people in (32, 64, 128):
         abstract = _org_abstract(people)
-        result = abstract_chase(abstract, ORG_SETTING, incremental=True)
+        result = abstract_chase(abstract, ORG_SETTING)
         assert result.succeeded
         totals = result.reuse_totals()
         matches = totals.replayed_matches + totals.live_matches
@@ -122,4 +94,4 @@ def test_incremental_reuse_summary(benchmark):
         "\n".join(rows),
     )
     abstract = _org_abstract(32)
-    benchmark(lambda: abstract_chase(abstract, ORG_SETTING, incremental=True))
+    benchmark(lambda: abstract_chase(abstract, ORG_SETTING))

@@ -6,7 +6,6 @@ to be meaningful.
 """
 
 from repro.relational import Instance, fact, parse_conjunction
-from repro.relational.algebra import evaluate_conjunction
 from repro.relational.homomorphism import find_homomorphisms
 from repro.serialize import (
     concrete_instance_from_json,
@@ -15,6 +14,7 @@ from repro.serialize import (
     instance_to_csv_dict,
 )
 from repro.workloads import random_concrete_instance, random_employment_history
+from tests.oracles.algebra import evaluate_conjunction
 
 
 def uncoalesced_instance():

@@ -11,9 +11,10 @@ the output size.
 
 Both the chase (``Tri(x,y,z)`` exchange, join cost in normalization and
 tgd matching) and query answering (triangle query over a copied target)
-run through the same plan layer, so one ``--join`` mode switch covers
-both; the ``flat`` parametrization pins the reference engine so the gate
-tracks the two algorithms separately.
+run through the same plan layer, so one join selection covers both; the
+``flat`` parametrization pins the flat join through the
+:func:`~tests.oracles.joins.pinned_join` test oracle so the gate tracks
+the two algorithms separately (``auto`` is the product's own choice).
 """
 
 import pytest
@@ -21,12 +22,12 @@ import pytest
 from repro.concrete.cchase import c_chase
 from repro.query.certain import certain_answers_concrete
 from repro.query.query import ConjunctiveQuery
-from repro.relational.homomorphism import join_mode
 from repro.workloads import (
     exchange_setting_copy,
     exchange_setting_triangle,
     triangle_graph_instance,
 )
+from tests.oracles.joins import pinned_join
 
 TRIANGLE_SETTING = exchange_setting_triangle()
 COPY_SETTING = exchange_setting_copy()
@@ -41,7 +42,7 @@ MODES = ["flat", "auto"]
 @pytest.mark.parametrize("spokes", SIZES)
 def test_triangle_chase(benchmark, spokes, mode):
     source = triangle_graph_instance(spokes)
-    with join_mode(mode):
+    with pinned_join(mode):
         result = benchmark(lambda: c_chase(source, TRIANGLE_SETTING))
     assert result.succeeded
     # Each closed triangle matches in all three rotations.
@@ -52,7 +53,7 @@ def test_triangle_chase(benchmark, spokes, mode):
 @pytest.mark.parametrize("spokes", SIZES)
 def test_triangle_query(benchmark, spokes, mode):
     source = triangle_graph_instance(spokes)
-    with join_mode(mode):
+    with pinned_join(mode):
         answers = benchmark(
             lambda: certain_answers_concrete(
                 TRIANGLE_QUERY, source, COPY_SETTING

@@ -24,15 +24,14 @@ unsharded run.  The executor is pluggable: ``"serial"`` (default) runs
 the shards in a loop, ``"threads"`` uses a ``concurrent.futures`` thread
 pool, and any ``Executor`` instance may be passed directly.
 
-Within each shard the regions are, by default, chased **incrementally**:
-adjacent region snapshots differ by few facts, so each region replays the
+Within each shard the regions are chased **incrementally**: adjacent
+region snapshots differ by few facts, so each region replays the
 previous region's recorded tgd firing sequence wherever the snapshot
 diff left it intact, and falls through to live decisions only where the
 streams deviate; the egd fixpoint runs the live semi-naive engine either
-way (see :mod:`repro.chase.incremental`).  The incremental schedule is
-byte-identical to the from-scratch one — null names, traces and
-failures included — so it is safe as the default;
-``incremental=False`` restores the from-scratch reference schedule.
+way (see :mod:`repro.chase.incremental`).  The schedule is
+byte-identical to chasing every region from scratch — null names,
+traces and failures included.
 
 Proposition 4: a successful abstract chase yields a universal solution;
 a failure on any snapshot means no solution exists.
@@ -53,9 +52,8 @@ from typing import Iterable, Sequence
 
 from repro.errors import ChaseFailureError, InstanceError, ShardExecutionError
 from repro.abstract_view.abstract_instance import AbstractInstance, TemplateFact
-from repro.chase.engine import EngineMode
 from repro.chase.incremental import IncrementalRegionChaser, RegionReuseStats
-from repro.chase.standard import ChaseVariant, SnapshotChaseResult, chase_snapshot
+from repro.chase.standard import ChaseVariant, SnapshotChaseResult
 from repro.chase.trace import FailureRecord
 from repro.dependencies.mapping import DataExchangeSetting
 from repro.relational.terms import AnnotatedNull, LabeledNull
@@ -78,7 +76,7 @@ class ShardReport:
     regions: int
     seconds: float
     # Aggregated cross-region reuse of the shard's incremental chain;
-    # None when the from-scratch schedule ran (incremental=False).
+    # None only for a shard whose worker died before reporting.
     reuse: RegionReuseStats | None = None
     # True when the shard executed in a worker process (the "processes"
     # executor).  Recorded firing logs never cross the process boundary:
@@ -164,7 +162,7 @@ def _partition(
 
     Blocks are balanced to within one region and preserve timeline order,
     so every shard's subsequence is ascending (what the sweep of
-    :meth:`AbstractInstance.iter_region_snapshots` requires) and the
+    :meth:`AbstractInstance.iter_region_deltas` requires) and the
     merge is a plain concatenation in region order.
     """
     count = min(shards, len(regions))
@@ -185,8 +183,6 @@ def _chase_regions(
     regions: tuple[Interval, ...],
     setting: DataExchangeSetting,
     variant: ChaseVariant,
-    engine: EngineMode,
-    incremental: bool,
     shard: int,
 ) -> tuple[
     list[tuple[Interval, SnapshotChaseResult]],
@@ -204,38 +200,19 @@ def _chase_regions(
     """
     results: list[tuple[Interval, SnapshotChaseResult]] = []
     region_stats: dict[Interval, RegionReuseStats] = {}
-    region: Interval | None = None
-    chaser = (
-        IncrementalRegionChaser(setting, variant, engine)
-        if incremental
-        else None
-    )
-    sweep = iter(
-        source.iter_region_deltas(regions)
-        if incremental
-        else source.iter_region_snapshots(regions)
-    )
+    chaser = IncrementalRegionChaser(setting, variant)
+    sweep = iter(source.iter_region_deltas(regions))
     while True:
-        region = None
         try:
-            item = next(sweep)
+            region, snapshot, added, removed = next(sweep)
         except StopIteration:
             break
         except Exception as exc:  # noqa: BLE001 — surfaced with shard context
             return results, region_stats, ShardExecutionError(
                 shard, None, exc
             )
-        region = item[0]
         try:
-            if chaser is not None:
-                _region, snapshot, added, removed = item
-                result, stats = chaser.chase(snapshot, added, removed)
-                region_stats[region] = stats
-            else:
-                _region, snapshot = item
-                result = chase_snapshot(
-                    snapshot, setting, variant=variant, engine=engine
-                )
+            result, region_stats[region] = chaser.chase(snapshot, added, removed)
         except Exception as exc:  # noqa: BLE001 — surfaced with shard context
             return results, region_stats, ShardExecutionError(
                 shard, region, exc
@@ -316,8 +293,6 @@ def _execute_block(
     block: tuple[Interval, ...],
     setting: DataExchangeSetting,
     variant: ChaseVariant,
-    engine: EngineMode,
-    incremental: bool,
     shard: int,
     remote: bool = False,
 ) -> _BlockOutcome:
@@ -329,19 +304,11 @@ def _execute_block(
     """
     started = time.perf_counter()
     block_results, region_stats, error = _chase_regions(
-        source,
-        block,
-        setting,
-        variant,
-        engine,
-        incremental,
-        shard,
+        source, block, setting, variant, shard
     )
-    reuse: RegionReuseStats | None = None
-    if incremental:
-        reuse = RegionReuseStats()
-        for stats in region_stats.values():
-            reuse.add(stats)
+    reuse = RegionReuseStats()
+    for stats in region_stats.values():
+        reuse.add(stats)
     report = ShardReport(
         shard=shard,
         regions=len(block_results),
@@ -368,11 +335,10 @@ def _execute_block(
     )
 
 
-def _process_worker(payload: bytes) -> bytes:
-    """Chase one encoded shard task in a worker process.
+def _run_shard_task(task) -> bytes:
+    """Chase one decoded shard task in a worker process.
 
-    Decodes the :mod:`repro.serialize.shard_codec` task, rebuilds the
-    shard's source slice, runs the block exactly as an
+    Rebuilds the shard's source slice, runs the block exactly as an
     in-process shard would, and encodes the outcome — traces included —
     for the parent.  ``REPRO_SHARD_CRASH=<shard>`` hard-kills the worker
     before chasing; it exists so tests can exercise the worker-death
@@ -380,18 +346,14 @@ def _process_worker(payload: bytes) -> bytes:
     """
     from repro.serialize import shard_codec
 
-    task = shard_codec.decode_shard_task(payload)
     crash = os.environ.get("REPRO_SHARD_CRASH")
     if crash is not None and crash == str(task.shard):
         os._exit(17)
-    source = AbstractInstance(task.templates)
     outcome = _execute_block(
-        source,
+        AbstractInstance(task.templates),
         task.regions,
         task.setting,
         task.variant,  # type: ignore[arg-type]
-        task.engine,  # type: ignore[arg-type]
-        task.incremental,
         task.shard,
         remote=True,
     )
@@ -405,6 +367,13 @@ def _process_worker(payload: bytes) -> bytes:
             merged_templates=outcome.merged_templates,
         )
     )
+
+
+def _process_worker(payload: bytes) -> bytes:
+    """Chase one :mod:`repro.serialize.shard_codec` task payload."""
+    from repro.serialize import shard_codec
+
+    return _run_shard_task(shard_codec.decode_shard_task(payload))
 
 
 def _process_worker_shm(task_name: str, outcome_name: str) -> str:
@@ -426,31 +395,7 @@ def _process_worker_shm(task_name: str, outcome_name: str) -> str:
         task = shard_codec.decode_shard_task(segment.buf)
     finally:
         segment.close()
-    crash = os.environ.get("REPRO_SHARD_CRASH")
-    if crash is not None and crash == str(task.shard):
-        os._exit(17)
-    source = AbstractInstance(task.templates)
-    outcome = _execute_block(
-        source,
-        task.regions,
-        task.setting,
-        task.variant,  # type: ignore[arg-type]
-        task.engine,  # type: ignore[arg-type]
-        task.incremental,
-        task.shard,
-        remote=True,
-    )
-    assert outcome.merged_templates is not None
-    payload = shard_codec.encode_shard_outcome(
-        shard_codec.ShardOutcome(
-            results=tuple(outcome.results),
-            region_reuse=outcome.region_reuse,
-            error=outcome.error,
-            report=outcome.report,
-            merged_templates=outcome.merged_templates,
-        )
-    )
-    shm.write(outcome_name, payload)
+    shm.write(outcome_name, _run_shard_task(task))
     shm.give_away(outcome_name)
     return outcome_name
 
@@ -460,8 +405,6 @@ def _run_blocks_in_processes(
     blocks: list[tuple[Interval, ...]],
     setting: DataExchangeSetting,
     variant: ChaseVariant,
-    engine: EngineMode,
-    incremental: bool,
     workers: int | None,
     pool: ProcessPoolExecutor | None,
 ) -> tuple[list[_BlockOutcome], ParentTimings]:
@@ -470,7 +413,7 @@ def _run_blocks_in_processes(
     Each task carries only the templates overlapping its block's span
     (block regions come from the canonical partition, so overlap is
     exactly "contributes to some block snapshot").  Where the platform
-    supports it (see :func:`repro.serialize.shm.transport_enabled`),
+    supports it (see :func:`repro.serialize.shm.available`),
     tasks and outcomes travel through named shared-memory segments and
     the pool's pickle pipe carries only segment names; otherwise the
     payload bytes ride the pipe directly.  Either way the merged result
@@ -492,7 +435,7 @@ def _run_blocks_in_processes(
     from repro.serialize import shard_codec
     from repro.serialize import shm as shm_transport
 
-    use_shm = shm_transport.transport_enabled()
+    use_shm = shm_transport.available()
     encode_started = time.perf_counter()
     payloads: list[bytes] = []
     for index, block in enumerate(blocks):
@@ -507,8 +450,6 @@ def _run_blocks_in_processes(
                 shard_codec.ShardTask(
                     shard=index,
                     variant=variant,
-                    engine=engine,
-                    incremental=incremental,
                     regions=block,
                     templates=templates,
                     setting=setting,
@@ -618,10 +559,8 @@ def abstract_chase(
     source: AbstractInstance,
     setting: DataExchangeSetting,
     variant: ChaseVariant = "standard",
-    engine: EngineMode = "delta",
     shards: int = 1,
     executor: str | Executor = "serial",
-    incremental: bool = True,
     workers: int | None = None,
 ) -> AbstractChaseResult:
     """``chase(Ia, M)`` on the finite representation.
@@ -647,11 +586,10 @@ def abstract_chase(
     through the same wire path.  A worker that dies mid-block surfaces
     as a :class:`ShardExecutionError` carrying the shard index.
 
-    *incremental* (default on) makes each shard's chain of regions reuse
-    the previous region's recorded chase wherever the snapshot diff
-    permits; the output is byte-identical either way, so the flag only
-    trades CPU for bookkeeping.  Sharding composes with it: every block
-    is its own incremental chain.
+    Each shard's chain of regions reuses the previous region's recorded
+    chase wherever the snapshot diff permits: every block is its own
+    incremental chain, byte-identical to chasing each region from
+    scratch.
     """
     if not source.is_complete:
         raise InstanceError(
@@ -665,15 +603,7 @@ def abstract_chase(
     blocks = [regions] if shards == 1 else _partition(regions, shards)
 
     def run_block(index: int) -> _BlockOutcome:
-        return _execute_block(
-            source,
-            blocks[index],
-            setting,
-            variant,
-            engine,
-            incremental,
-            index,
-        )
+        return _execute_block(source, blocks[index], setting, variant, index)
 
     indices = range(len(blocks))
     timings: ParentTimings | None = None
@@ -683,8 +613,6 @@ def abstract_chase(
             blocks,
             setting,
             variant,
-            engine,
-            incremental,
             workers,
             executor if isinstance(executor, ProcessPoolExecutor) else None,
         )

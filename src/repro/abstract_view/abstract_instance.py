@@ -293,10 +293,10 @@ class AbstractInstance:
         """The materialized prefix ``db_0 … db_{limit-1}`` (tests, figures)."""
         return [self.snapshot(point) for point in range(limit)]
 
-    def iter_region_snapshots(
+    def iter_region_deltas(
         self, regions: Iterable[Interval] | None = None
-    ) -> Iterator[tuple[Interval, Instance]]:
-        """Yield ``(region, snapshot at region.start)`` across *regions*.
+    ) -> Iterator[tuple[Interval, Instance, tuple[Fact, ...], tuple[Fact, ...]]]:
+        """Yield ``(region, snapshot at region.start, added, removed)``.
 
         Equivalent to ``(r, self.snapshot(r.start))`` per region, but the
         snapshot is ONE instance maintained incrementally by an interval
@@ -307,36 +307,20 @@ class AbstractInstance:
         regions.  The yielded instance is reused and mutated between
         yields: consume it before advancing, never store it.
 
+        *added* and *removed* are the **net** fact-level changes against
+        the previous yielded region's snapshot, each sorted by
+        ``Fact.sort_key``.  A fact that leaves one template's coverage
+        and enters another's at the same breakpoint cancels out of both
+        sides — adjacent regions with identical snapshots report empty
+        diffs, which is what lets the incremental cross-region chase
+        replay such regions without firing a single live rule.  The first
+        region reports every fact as added (against the empty instance).
+
         *regions* must be an ascending subsequence of :meth:`regions`
         (defaults to all of them) — this is what a shard of the region
-        scheduler holds.  Falls back to fresh per-region snapshots when a
-        template carries per-snapshot (annotated) nulls, whose projection
-        differs at every point.
-        """
-        for region, snapshot, _added, _removed in self.iter_region_deltas(
-            regions
-        ):
-            yield region, snapshot
-
-    def iter_region_deltas(
-        self, regions: Iterable[Interval] | None = None
-    ) -> Iterator[tuple[Interval, Instance, tuple[Fact, ...], tuple[Fact, ...]]]:
-        """The region sweep of :meth:`iter_region_snapshots`, with diffs.
-
-        Yields ``(region, snapshot, added, removed)`` where *added* and
-        *removed* are the **net** fact-level changes against the previous
-        yielded region's snapshot, each sorted by ``Fact.sort_key``.  A
-        fact that leaves one template's coverage and enters another's at
-        the same breakpoint cancels out of both sides — adjacent regions
-        with identical snapshots report empty diffs, which is what lets
-        the incremental cross-region chase replay such regions without
-        firing a single live rule.  The first region reports every fact
-        as added (against the empty instance).
-
-        The yielded instance is the same live, mutated-between-yields
-        sweep instance as :meth:`iter_region_snapshots`; templates with
-        per-snapshot (annotated) nulls force the fresh-snapshot fallback,
-        with diffs computed by set comparison.
+        scheduler holds.  Templates with per-snapshot (annotated) nulls,
+        whose projection differs at every point, force fresh per-region
+        snapshots, with diffs computed by set comparison.
         """
         from heapq import heappop, heappush
 

@@ -7,7 +7,7 @@
 """
 
 from repro.chase.core import core_of, find_proper_endomorphism, is_core
-from repro.chase.engine import EgdTask, EngineMode, run_egd_fixpoint, run_tgd_pass
+from repro.chase.engine import EgdTask, run_egd_fixpoint, run_tgd_pass
 from repro.chase.incremental import IncrementalRegionChaser, RegionReuseStats
 from repro.chase.nulls import NullNameCollisionError, skolem_names
 from repro.chase.standard import (
@@ -32,7 +32,6 @@ __all__ = [
     "find_proper_endomorphism",
     "is_core",
     "EgdTask",
-    "EngineMode",
     "run_egd_fixpoint",
     "run_tgd_pass",
     "IncrementalRegionChaser",

@@ -25,10 +25,6 @@ Structure:
   full re-scan round is gone, along with the fresh instance allocated
   per round.
 
-``mode="rescan"`` restores the full re-enumeration every round (still
-with in-place substitution); it exists as the reference the property
-tests compare the delta mode against, and as a CLI escape hatch.
-
 Within each round, equations feed one
 :class:`~repro.chase.union_find.TermUnionFind` and one substitution pass
 applies the whole round, exactly as before this engine existed; round 0
@@ -42,7 +38,7 @@ implementation (trace format v2; see docs/architecture.md).
 
 from __future__ import annotations
 
-from typing import Iterable, Literal, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from repro.chase.trace import ChaseTrace, EgdStepRecord, FailureRecord, TgdStepRecord
 from repro.chase.union_find import ConstantClashError, TermUnionFind
@@ -56,7 +52,6 @@ from repro.relational.instance import Instance
 from repro.relational.terms import Term, Variable
 
 __all__ = [
-    "EngineMode",
     "EgdTask",
     "ChaseDomain",
     "RhsProbe",
@@ -64,9 +59,6 @@ __all__ = [
     "run_tgd_pass",
     "run_egd_fixpoint",
 ]
-
-EngineMode = Literal["delta", "rescan"]
-
 
 class RhsProbe:
     """Precomputed single-atom rhs extension check as a projection set.
@@ -242,7 +234,6 @@ def run_egd_fixpoint(
     domain: ChaseDomain,
     tasks: Sequence[EgdTask],
     trace: ChaseTrace,
-    mode: EngineMode = "delta",
 ) -> FailureRecord | None:
     """Chase the egds to fixpoint in batched semi-naive rounds.
 
@@ -296,12 +287,9 @@ def run_egd_fixpoint(
         if not merged:
             return None
         added = domain.apply_substitution(union_find.substitution())
-        if mode == "rescan":
-            delta = None
-        elif not added:
+        if not added:
             # Nothing new entered the instance (every image merged into
             # an existing fact): no new matches are possible, so the
             # fixpoint is confirmed without another enumeration round.
             return None
-        else:
-            delta = added
+        delta = added

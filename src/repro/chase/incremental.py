@@ -473,11 +473,9 @@ class IncrementalRegionChaser:
         self,
         setting: DataExchangeSetting,
         variant: ChaseVariant = "standard",
-        engine: str = "delta",
     ) -> None:
         self.setting = setting
         self.variant = variant
-        self.engine = engine
         # One name → Skolem term registry for the whole chain: replayed
         # nulls were registered in the region that first minted them.
         self.null_names: dict[str, tuple] = {}
@@ -609,21 +607,14 @@ class IncrementalRegionChaser:
             # no-op and the seed-round enumeration is skipped outright.
             failure = None
         else:
-            failure = run_egd_fixpoint(
-                domain, self.egd_tasks, trace, mode=self.engine
-            )
+            failure = run_egd_fixpoint(domain, self.egd_tasks, trace)
         if failure is not None:
             self.previous = None
             if previous is not None:
                 # Replay-assisted failure: reproduce the exact
                 # from-scratch failure (trace, partial target and all).
                 return (
-                    chase_snapshot(
-                        snapshot,
-                        self.setting,
-                        variant=self.variant,
-                        engine=self.engine,  # type: ignore[arg-type]
-                    ),
+                    chase_snapshot(snapshot, self.setting, variant=self.variant),
                     stats,
                 )
             return (

@@ -43,7 +43,6 @@ from typing import Literal
 from repro.errors import ChaseFailureError
 from repro.chase.engine import (
     EgdTask,
-    EngineMode,
     build_rhs_probe,
     run_egd_fixpoint,
     run_tgd_pass,
@@ -279,7 +278,6 @@ def _run_egd_phase(
     target: Instance,
     setting: DataExchangeSetting,
     trace: ChaseTrace,
-    mode: EngineMode = "delta",
 ) -> tuple[Instance, FailureRecord | None]:
     """Chase the egds to fixpoint; returns (instance, failure-or-None).
 
@@ -287,7 +285,7 @@ def _run_egd_phase(
     the snapshot domain; the instance is mutated in place and returned.
     """
     domain = _SnapshotDomain(target)
-    failure = run_egd_fixpoint(domain, _egd_tasks(setting), trace, mode=mode)
+    failure = run_egd_fixpoint(domain, _egd_tasks(setting), trace)
     return target, failure
 
 
@@ -295,23 +293,20 @@ def chase_snapshot(
     source: Instance,
     setting: DataExchangeSetting,
     variant: ChaseVariant = "standard",
-    engine: EngineMode = "delta",
 ) -> SnapshotChaseResult:
     """Chase one snapshot, producing a universal solution or a failure.
 
     *variant* selects the s-t tgd firing policy (``"standard"`` checks for
     an existing extension before firing; ``"oblivious"`` always fires).
-    *engine* selects the egd fixpoint strategy (``"delta"`` enumerates
-    each round against the previous round's delta only; ``"rescan"``
-    re-enumerates the full instance every round — the reference mode).
-    Fresh nulls carry Skolem names (:mod:`repro.chase.nulls`).
+    The egd fixpoint enumerates each round against the previous round's
+    delta only.  Fresh nulls carry Skolem names (:mod:`repro.chase.nulls`).
     """
     trace = ChaseTrace()
     # Target instances are kept schema-free internally; arity validation
     # already happened at the dependency level where attributes are known.
     target = Instance()
     _run_tgd_phase(source, target, setting, variant, trace)
-    result_instance, failure = _run_egd_phase(target, setting, trace, mode=engine)
+    result_instance, failure = _run_egd_phase(target, setting, trace)
     if failure is not None:
         return SnapshotChaseResult(
             target=result_instance, failed=True, failure=failure, trace=trace

@@ -14,13 +14,15 @@ Commands:
 
 Instances and mappings travel as JSON in the :mod:`repro.serialize`
 format.  Exit status: 0 on success, 1 on chase failure (no solution),
-2 on bad input.
+2 on bad input, 141 when the reader of standard output goes away (the
+shell's SIGPIPE status, e.g. ``repro chase … --pretty | head -1``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -33,7 +35,6 @@ from repro.query import (
     UnionQuery,
     certain_answers_concrete,
 )
-from repro.relational.homomorphism import set_join_mode
 from repro.serialize import (
     concrete_instance_from_json,
     concrete_instance_to_json,
@@ -125,7 +126,6 @@ def _print_shard_reports(abstract_result) -> None:
 
 
 def _cmd_chase(args: argparse.Namespace) -> int:
-    set_join_mode(args.join)
     setting = _load_setting(args.mapping)
     source = _load_instance(args.source)
     if args.via == "abstract":
@@ -148,10 +148,8 @@ def _cmd_chase(args: argparse.Namespace) -> int:
             semantics(source),
             setting,
             variant=args.variant,
-            engine=args.engine,
             shards=args.shards,
             executor=args.executor,
-            incremental=args.incremental != "off",
             workers=args.workers,
         )
         if args.shards > 1:
@@ -185,36 +183,21 @@ def _cmd_chase(args: argparse.Namespace) -> int:
                 f"error: {flag} configures the abstract chase's region "
                 "scheduler; add --via abstract to use it"
             )
-    # For the concrete c-chase, --incremental gates the fragment-level
-    # normalization replay chained through --norm-log (on the abstract
-    # path it selects the cross-region replay instead).  An explicit
-    # --incremental without a replay chain to act on would silently do
-    # nothing — refuse it with guidance instead.
-    if args.incremental is not None and not args.norm_log:
-        raise SystemExit(
-            "error: --incremental configures replay chains; on the "
-            "concrete c-chase it needs --norm-log FILE (or add "
-            "--via abstract for cross-region replay)"
-        )
     if args.norm_log and args.normalization == "naive":
         raise SystemExit(
             "error: --norm-log records Algorithm 1's group decisions; "
             "the naive normalization has none to replay "
             "(drop --norm-log or use --normalization conjunction)"
         )
-    incremental = None
-    if args.norm_log and args.incremental != "off":
-        incremental = _load_norm_log(args.norm_log)
     result = c_chase(
         source,
         setting,
         normalization=args.normalization,
         variant=args.variant,
         coalesce_result=args.coalesce,
-        engine=args.engine,
-        incremental=incremental,
+        incremental=_load_norm_log(args.norm_log) if args.norm_log else None,
     )
-    if args.norm_log and args.incremental != "off":
+    if args.norm_log:
         _save_norm_log(args.norm_log, result.replay_state)
     if result.failed:
         print(f"chase failed: {result.failure}", file=sys.stderr)
@@ -248,25 +231,6 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    # The replay chain mirrors chase's --norm-log contract: both flags
-    # travel together, and a dangling half would silently do nothing —
-    # refuse it with guidance instead.
-    if args.incremental and not args.query_log:
-        raise SystemExit(
-            "error: --incremental replays a recorded query log; "
-            "it needs --query-log FILE to chain runs through"
-        )
-    if args.query_log and not args.incremental:
-        raise SystemExit(
-            "error: --query-log only records when replay is enabled; "
-            "add --incremental to use the chain"
-        )
-    if args.incremental and args.engine == "scan":
-        raise SystemExit(
-            "error: --incremental requires --engine indexed; the scan "
-            "reference engine re-evaluates from scratch by design"
-        )
-    set_join_mode(args.join)
     setting = _load_setting(args.mapping)
     source = _load_instance(args.source)
     rules = [rule for rule in args.query.split(";") if rule.strip()]
@@ -275,11 +239,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         query = ConjunctiveQuery.parse(rules[0])
     else:
         query = UnionQuery.of(*rules)
-    log = _load_query_log(args.query_log) if args.incremental else None
+    log = _load_query_log(args.query_log) if args.query_log else None
     mark = log.answers.counters() if log is not None else None
-    answers = certain_answers_concrete(
-        query, source, setting, engine=args.engine, log=log
-    )
+    answers = certain_answers_concrete(query, source, setting, log=log)
     if log is not None:
         _save_query_log(args.query_log, log)
         # The ledger's counters are cumulative across the pickled chain;
@@ -296,25 +258,17 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    set_join_mode(args.join)
     setting = _load_setting(args.mapping)
     source = _load_instance(args.source)
-    # --incremental gates both replay layers here: the abstract chase's
-    # cross-region reuse and the c-chase's --norm-log chain (mirroring
-    # the chase command's concrete path).
-    use_norm_log = bool(args.norm_log) and args.incremental != "off"
-    cchase_incremental = _load_norm_log(args.norm_log) if use_norm_log else None
     report = verify_correspondence(
         source,
         setting,
-        engine=args.engine,
         shards=args.shards,
         executor=args.executor,
-        incremental=args.incremental != "off",
         workers=args.workers,
-        cchase_incremental=cchase_incremental,
+        cchase_incremental=_load_norm_log(args.norm_log) if args.norm_log else None,
     )
-    if use_norm_log:
+    if args.norm_log:
         _save_norm_log(args.norm_log, report.concrete_result.replay_state)
     if args.shards > 1:
         _print_shard_reports(report.abstract_result)
@@ -445,7 +399,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
         elif args.action == "query":
             if not args.query:
                 raise SystemExit("error: client query requires --query RULE")
-            result = client.query(need_session(), args.query, engine=args.engine)
+            result = client.query(need_session(), args.query)
         elif args.action in ("target", "source"):
             getter = client.target if args.action == "target" else client.source
             payload = getter(need_session())
@@ -579,26 +533,6 @@ def _shard_count(value: str) -> int:
     return parsed
 
 
-def _add_join_flag(command: argparse.ArgumentParser) -> None:
-    """The join-engine selector, shared by chase/query/verify.
-
-    Both engines enumerate byte-identical rows in the identical order,
-    so the flag only changes how long the run takes — ``auto`` picks the
-    worst-case-optimal join for large-enough cyclic ≥3-atom bodies and
-    the flat written-order join everywhere else.
-    """
-    command.add_argument(
-        "--join",
-        choices=["auto", "flat", "wcoj"],
-        default="auto",
-        help="join algorithm for multi-atom rule bodies and queries: "
-        "auto (default) uses the worst-case-optimal join for cyclic "
-        "bodies of three or more atoms over large-enough relations and "
-        "the flat join elsewhere; flat/wcoj force one engine (the "
-        "answers are identical either way — only the runtime differs)",
-    )
-
-
 def _add_scheduler_flags(command: argparse.ArgumentParser) -> None:
     """The abstract chase's region-scheduler flags, shared by chase/verify."""
     command.add_argument(
@@ -622,14 +556,6 @@ def _add_scheduler_flags(command: argparse.ArgumentParser) -> None:
         default=None,
         help="pool size for --executor threads/processes "
         "(default: one per shard, processes capped at the CPU count)",
-    )
-    command.add_argument(
-        "--incremental",
-        choices=["on", "off"],
-        default=None,
-        help="reuse recorded chase work (byte-identical to 'off'; "
-        "default on): adjacent region snapshots for the abstract "
-        "chase, the --norm-log replay chain for the concrete c-chase",
     )
     command.add_argument(
         "--norm-log",
@@ -665,22 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chase.add_argument("--coalesce", action="store_true")
     chase.add_argument(
-        "--engine",
-        choices=["delta", "rescan"],
-        default="delta",
-        help="egd fixpoint strategy: semi-naive delta rounds (default) "
-        "or full re-enumeration per round",
-    )
-    chase.add_argument(
         "--via",
         choices=["concrete", "abstract"],
         default="concrete",
         help="chase procedure: the c-chase on the concrete instance "
         "(default) or the abstract chase over region snapshots "
-        "(prints snapshot tables; honors --shards/--executor/--incremental)",
+        "(prints snapshot tables; honors --shards/--executor/--workers)",
     )
     _add_scheduler_flags(chase)
-    _add_join_flag(chase)
     chase.set_defaults(handler=_cmd_chase)
 
     norm = commands.add_parser("normalize", help="normalize an instance")
@@ -701,26 +619,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="rule(s) like \"q(n,s) :- Emp(n,c,s)\"; ';'-separated for unions",
     )
     query.add_argument(
-        "--engine",
-        choices=["indexed", "scan"],
-        default="indexed",
-        help="evaluation engine: indexed plan probing (default) or the "
-        "scan reference mode",
-    )
-    query.add_argument(
-        "--incremental",
-        action="store_true",
-        help="replay the recorded query log (chase state, normalization "
-        "plans and per-disjunct answers); needs --query-log",
-    )
-    query.add_argument(
         "--query-log",
         metavar="FILE",
-        help="query replay chain: read the recorded log here (if present) "
+        help="query replay chain: replay the recorded log here (chase "
+        "state, normalization plans and per-disjunct answers; if present) "
         "and write this run's state back.  Pickle format — only reuse "
         "files this tool wrote",
     )
-    _add_join_flag(query)
     query.set_defaults(handler=_cmd_query)
 
     verify = commands.add_parser(
@@ -728,14 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--mapping", required=True)
     verify.add_argument("--source", required=True)
-    verify.add_argument(
-        "--engine",
-        choices=["delta", "rescan"],
-        default="delta",
-        help="chase engine mode for both procedures",
-    )
     _add_scheduler_flags(verify)
-    _add_join_flag(verify)
     verify.set_defaults(handler=_cmd_verify)
 
     figures = commands.add_parser(
@@ -818,13 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         "';'-separated for unions",
     )
     client.add_argument(
-        "--engine",
-        choices=["indexed", "scan"],
-        default="indexed",
-        help="query evaluation engine (indexed replays the session's "
-        "answer ledger)",
-    )
-    client.add_argument(
         "--pretty",
         action="store_true",
         help="target/source: print ASCII tables instead of JSON",
@@ -902,10 +793,20 @@ def main(argv: list[str] | None = None) -> int:
         if not args.naive and not args.mapping:
             parser.error("normalize requires --mapping unless --naive is given")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # Flush inside the try: a reader that left surfaces here, not as
+        # an unraisable error at interpreter exit.
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`).  Point stdout at devnull
+        # so the interpreter's exit-time flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,7 +4,6 @@ from repro.concrete.cchase import CChaseReplayState, CChaseResult, c_chase
 from repro.concrete.concrete_fact import ConcreteFact, concrete_fact
 from repro.concrete.concrete_instance import ConcreteInstance
 from repro.concrete.normalization import (
-    NormalizationEngine,
     NormalizationLog,
     NormalizationReport,
     NormalizationViolation,
@@ -26,7 +25,6 @@ __all__ = [
     "ConcreteFact",
     "concrete_fact",
     "ConcreteInstance",
-    "NormalizationEngine",
     "NormalizationLog",
     "NormalizationReport",
     "NormalizationViolation",

@@ -44,7 +44,6 @@ from typing import Literal
 from repro.errors import ChaseFailureError
 from repro.chase.engine import (
     EgdTask,
-    EngineMode,
     build_rhs_probe,
     run_egd_fixpoint,
     run_tgd_pass,
@@ -354,7 +353,6 @@ def _run_egd_phase(
     target: ConcreteInstance,
     setting: DataExchangeSetting,
     trace: ChaseTrace,
-    mode: EngineMode = "delta",
 ) -> tuple[ConcreteInstance, FailureRecord | None]:
     """Resolve the egds in batched semi-naive rounds (module docstring).
 
@@ -362,7 +360,7 @@ def _run_egd_phase(
     the concrete domain; the instance is mutated in place and returned.
     """
     domain = _ConcreteDomain(target)
-    failure = run_egd_fixpoint(domain, _egd_tasks(setting), trace, mode=mode)
+    failure = run_egd_fixpoint(domain, _egd_tasks(setting), trace)
     return target, failure
 
 
@@ -372,7 +370,6 @@ def c_chase(
     normalization: NormalizationMode = "conjunction",
     variant: TgdVariant = "standard",
     coalesce_result: bool = False,
-    engine: EngineMode = "delta",
     incremental: "CChaseResult | CChaseReplayState | bool | None" = None,
 ) -> CChaseResult:
     """Run the c-chase of Definition 16 on a concrete source instance.
@@ -392,11 +389,6 @@ def c_chase(
     coalesce_result:
         When ``True``, value-equivalent adjacent fragments of the solution
         are merged before returning (the semantics is unchanged).
-    engine:
-        ``"delta"`` runs egd rounds against the previous round's delta
-        only (semi-naive); ``"rescan"`` re-enumerates the full instance
-        every round — the reference mode the property tests compare
-        against.
     incremental:
         Fragment-level normalization replay across successive runs.
         ``True`` records this run's :class:`CChaseReplayState` (on
@@ -446,7 +438,7 @@ def c_chase(
         else None
     )
     final, failure = _run_egd_phase(
-        pre_egd_target.copy(preserve_caches=True), setting, trace, mode=engine
+        pre_egd_target.copy(preserve_caches=True), setting, trace
     )
     if failure is not None:
         return CChaseResult(

@@ -34,9 +34,7 @@ discovery runs as an **endpoint sweep** per value-equivalence group
 group's intervals are sorted once by their cached sort keys and swept in
 ``O(g log g)``, producing the same union-find components, the same
 matchable facts and the same fragment partition the historical per-pair
-enumeration derived in ``O(g²)``.  ``engine="pairwise"`` keeps that
-per-pair enumeration as the reference mode the equivalence suites sweep
-against.  Under the sweep engine ``NormalizationReport.matched_sets``
+enumeration derived in ``O(g²)``.  ``NormalizationReport.matched_sets``
 counts **overlap sets** (the transitively-overlapping clusters, which is
 what the paper's ``S`` collects) while ``matched_pairs`` reconstructs
 the historical per-match count exactly — see the report's docstring.
@@ -54,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import FormulaError
 from repro.chase.incremental import ReplayLedger
@@ -82,16 +80,12 @@ __all__ = [
     "find_violation",
     "has_empty_intersection_property",
     "is_normalized",
-    "NormalizationEngine",
     "NormalizationLog",
     "NormalizationReport",
     "normalize_with_report",
     "normalize",
     "naive_normalize",
 ]
-
-NormalizationEngine = Literal["sweep", "pairwise"]
-
 
 # ---------------------------------------------------------------------------
 # Temporal homomorphisms via the lifted relational view
@@ -311,16 +305,15 @@ class _FactUnionFind:
 class NormalizationReport:
     """What Algorithm 1 did: inputs, groups and the fragment arithmetic.
 
-    ``matched_sets`` carries **overlap-set semantics** under the default
-    sweep engine: per two-atom value-equivalence group it counts the
+    ``matched_sets`` carries **overlap-set semantics**: per two-atom
+    value-equivalence group it counts the
     transitively-overlapping clusters the sweep discovers (the members
     of the paper's ``S`` after merging within one group), and on the
     generic multi-atom path it counts matched ``Δ`` sets as before.
     ``matched_pairs`` reconstructs the historical count exactly — one
     per ``φ*`` homomorphism whose stamps intersect, self-matches
     included — without enumerating pairs (the sweep counts them in
-    ``O(g log g)``).  Under ``engine="pairwise"``, the reference mode,
-    both fields carry the historical count.
+    ``O(g log g)``).
 
     ``groups``/``groups_replayed``/``components_replayed`` account for
     fragment-level incremental replay: how many two-atom groups were
@@ -598,94 +591,6 @@ def _sweep_two_atom(
             log.groups.record((conj_index, key), signature, payload)
 
 
-def _pairwise_two_atom(
-    instance: ConcreteInstance,
-    lifted_atoms: tuple[Atom, ...],
-    plan,
-    union_find: _FactUnionFind,
-    report: NormalizationReport,
-) -> None:
-    """Reference mode: the historical inline per-pair enumeration.
-
-    The PR 2 loops (minus the never-read matchable bookkeeping) — the
-    same matches, Δ sets and counts as the generic homomorphism path,
-    with the per-match interval test collapsed to two endpoint
-    comparisons.  The equivalence suites sweep
-    the sweep engine against this; it reports the historical per-match
-    count in both ``matched_sets`` and ``matched_pairs``.
-    """
-    lifted = instance.lifted()
-    resolve = instance.resolve_lifted
-    find = union_find.find
-    # Registration of a (possibly fresh) member is just "ensure a
-    # parent entry exists" — no path to compress yet.
-    register = union_find._parent.setdefault
-    union = union_find.union
-    matched = 0
-    first_atom, second_atom = lifted_atoms
-    key_positions = plan.key_positions[1]
-    grouped: dict[tuple, list[ConcreteFact]] = {}
-    for item in lifted.lookup_ordered(second_atom.relation, {}):
-        if item.arity != second_atom.arity:
-            continue
-        key = tuple(item.args[position] for position in key_positions)
-        grouped.setdefault(key, []).append(resolve(item))
-    sources = tuple(position for _atom, position in plan.key_sources[1])
-    if (
-        first_atom.relation == second_atom.relation
-        and first_atom.arity == second_atom.arity
-        and sources == key_positions
-    ):
-        # Symmetric shape: each group joins with itself, so walk group²
-        # directly.  Every member self-matches, so the whole group is
-        # matchable up front and the inner loop only pays for the
-        # interval test and real merges.
-        for members in grouped.values():
-            matched += len(members)  # the self-pairs
-            for item in members:
-                register(item, item)
-            if len(members) == 1:
-                continue
-            enriched = [
-                (item, item.interval.start, item.interval.end)
-                for item in members
-            ]
-            for first, start, end in enriched:
-                for other, other_start, other_end in enriched:
-                    if (
-                        first is not other
-                        and other_start < end
-                        and start < other_end
-                    ):
-                        matched += 1
-                        union(first, other)
-        report.matched_sets += matched
-        report.matched_pairs += matched
-        return
-    for item in lifted.lookup_ordered(first_atom.relation, {}):
-        if item.arity != first_atom.arity:
-            continue
-        args = item.args
-        key = tuple(args[position] for position in sources)
-        partners = grouped.get(key)
-        if not partners:
-            continue
-        first = resolve(item)
-        stamp = first.interval
-        start, end = stamp.start, stamp.end
-        for other in partners:
-            if first is other or first == other:
-                matched += 1
-                find(first)
-                continue
-            second_stamp = other.interval
-            if second_stamp.start < end and start < second_stamp.end:
-                matched += 1
-                union(first, other)
-    report.matched_sets += matched
-    report.matched_pairs += matched
-
-
 def _interior_cuts(
     cuts: list[int], stamp: Interval
 ) -> "list[int]":
@@ -774,7 +679,6 @@ def _plan_fragments(
 def normalize_with_report(
     instance: ConcreteInstance,
     conjunctions: Iterable[TemporalConjunction],
-    engine: NormalizationEngine = "sweep",
     previous: NormalizationLog | None = None,
     record: bool = False,
 ) -> tuple[ConcreteInstance, NormalizationReport]:
@@ -785,8 +689,7 @@ def normalize_with_report(
     1. build ``N(Φ+)`` and the set ``S`` of fact sets ``∆`` jointly
        matched by some ``φ*`` whose stamps have a non-empty common
        intersection — per two-atom conjunction, an endpoint sweep per
-       value-equivalence group (``engine="pairwise"`` keeps the
-       historical per-pair enumeration as the reference mode);
+       value-equivalence group;
     2. merge the ``∆``s that share facts until a fixpoint (connected
        components of the share-a-fact graph);
     3. fragment every fact of every component at the component's distinct
@@ -796,14 +699,9 @@ def normalize_with_report(
     group or component whose facts are unchanged applies its recorded
     decisions without re-sorting (outputs are byte-identical either
     way).  *record* attaches this run's log to ``report.log`` for the
-    next run.  Both require the sweep engine.
+    next run.
     """
     conjunction_list = list(conjunctions)
-    if engine == "pairwise" and (previous is not None or record):
-        raise ValueError(
-            "normalization logs require the sweep engine; "
-            "engine='pairwise' is the un-logged reference mode"
-        )
     replay = None
     if (
         previous is not None
@@ -821,21 +719,16 @@ def normalize_with_report(
         lifted_atoms = _lift_atoms(decoupled)
         plan = _flat_join_plan(lifted_atoms)
         if plan is not None and len(lifted_atoms) == 2:
-            if engine == "pairwise":
-                _pairwise_two_atom(
-                    instance, lifted_atoms, plan, union_find, report
-                )
-            else:
-                _sweep_two_atom(
-                    instance,
-                    lifted_atoms,
-                    plan,
-                    conj_index,
-                    union_find,
-                    report,
-                    replay,
-                    log,
-                )
+            _sweep_two_atom(
+                instance,
+                lifted_atoms,
+                plan,
+                conj_index,
+                union_find,
+                report,
+                replay,
+                log,
+            )
             continue
         # Generic shapes (single atom, three-plus atoms, constants):
         # enumerate Δ sets through the flat join — never replayed,
@@ -868,10 +761,9 @@ def normalize_with_report(
 def normalize(
     instance: ConcreteInstance,
     conjunctions: Iterable[TemporalConjunction],
-    engine: NormalizationEngine = "sweep",
 ) -> ConcreteInstance:
     """Algorithm 1 ``norm(Ic, Φ+)`` (see :func:`normalize_with_report`)."""
-    result, _report = normalize_with_report(instance, conjunctions, engine=engine)
+    result, _report = normalize_with_report(instance, conjunctions)
     return result
 
 

@@ -72,10 +72,8 @@ def verify_correspondence(
     source: ConcreteInstance,
     setting: DataExchangeSetting,
     normalization: str = "conjunction",
-    engine: str = "delta",
     shards: int = 1,
     executor: str = "serial",
-    incremental: bool = True,
     workers: int | None = None,
     cchase_incremental=None,
 ) -> CorrespondenceReport:
@@ -86,12 +84,10 @@ def verify_correspondence(
     * one fails and the other does not → the square is broken (this would
       falsify the implementation, and the report says so).
 
-    *engine* selects the chase engine mode for both procedures
-    (``"delta"`` semi-naive rounds or ``"rescan"``);
-    *shards*/*executor*/*incremental* configure the abstract chase's
-    region scheduler.  Sharded and incremental runs are byte-identical
-    to the unsharded from-scratch one (null names are Skolem terms of
-    their firings), so neither affects the verdict.
+    *shards*/*executor*/*workers* configure the abstract chase's region
+    scheduler.  Sharded runs are byte-identical to the unsharded one
+    (null names are Skolem terms of their firings), so they never affect
+    the verdict.
 
     *cchase_incremental* is the c-chase's fragment-level normalization
     replay (see :func:`repro.concrete.cchase.c_chase`): a previous run's
@@ -103,16 +99,13 @@ def verify_correspondence(
         source,
         setting,
         normalization=normalization,  # type: ignore[arg-type]
-        engine=engine,  # type: ignore[arg-type]
         incremental=cchase_incremental,
     )
     abstract_result = abstract_chase(
         semantics(source),
         setting,
-        engine=engine,  # type: ignore[arg-type]
         shards=shards,
         executor=executor,
-        incremental=incremental,
         workers=workers,
     )
     if abstract_result.error is not None:

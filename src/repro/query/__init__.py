@@ -20,7 +20,7 @@ from repro.query.containment import (
     minimize,
     union_contained_in,
 )
-from repro.query.eval import Engine, QueryLog, check_engine
+from repro.query.eval import QueryLog
 from repro.query.naive_eval import (
     evaluate_snapshot,
     naive_evaluate_abstract,
@@ -47,9 +47,7 @@ __all__ = [
     "is_contained_in",
     "minimize",
     "union_contained_in",
-    "Engine",
     "QueryLog",
-    "check_engine",
     "evaluate_snapshot",
     "naive_evaluate_abstract",
     "naive_evaluate_concrete",

@@ -11,17 +11,15 @@ Both routes are implemented, plus a falsification helper used by tests:
 certain answers must be contained in the (plain) answers of every witness
 solution.
 
-Both routes accept the shared ``engine`` switch and, on the indexed
-engine, a :class:`~repro.query.eval.QueryLog`.  The log threads replay
-through the whole pipeline: the concrete route passes the recorded
-:class:`~repro.concrete.cchase.CChaseReplayState` into ``c_chase`` and
-stores the new state back, and both routes keep per-query answers in the
-log's ledger so a repeat call against an unchanged source replays
-instead of re-running.
+Both routes accept a :class:`~repro.query.eval.QueryLog`.  The log
+threads replay through the whole pipeline: the concrete route passes the
+recorded :class:`~repro.concrete.cchase.CChaseReplayState` into
+``c_chase`` and stores the new state back, and both routes keep
+per-query answers in the log's ledger so a repeat call against an
+unchanged source replays instead of re-running.
 """
 
 from __future__ import annotations
-
 
 from repro.abstract_view.abstract_chase import abstract_chase
 from repro.abstract_view.abstract_instance import AbstractInstance
@@ -29,20 +27,9 @@ from repro.concrete.cchase import c_chase
 from repro.concrete.concrete_instance import ConcreteInstance
 from repro.dependencies.mapping import DataExchangeSetting
 from repro.query.answers import TemporalAnswerSet
-from repro.query.eval import (
-    Engine,
-    QueryLog,
-    abstract_query_signature,
-    check_engine,
-)
-from repro.query.naive_eval import (
-    evaluate_snapshot,
-    naive_evaluate_abstract,
-    naive_evaluate_concrete,
-)
+from repro.query.eval import QueryLog, abstract_query_signature
+from repro.query.naive_eval import naive_evaluate_abstract, naive_evaluate_concrete
 from repro.query.query import ConjunctiveQuery, UnionQuery
-from repro.relational.terms import LabeledNull, AnnotatedNull
-from repro.temporal.interval_set import IntervalSet
 
 __all__ = [
     "certain_answers_abstract",
@@ -51,19 +38,10 @@ __all__ = [
 ]
 
 
-def _check_log(engine: Engine, log: QueryLog | None) -> None:
-    if log is not None and check_engine(engine) == "scan":
-        raise ValueError(
-            "engine='scan' does not support a QueryLog; "
-            "use engine='indexed' for recorded replay"
-        )
-
-
 def certain_answers_abstract(
     query: ConjunctiveQuery | UnionQuery,
     source: AbstractInstance,
     setting: DataExchangeSetting,
-    engine: Engine = "indexed",
     log: QueryLog | None = None,
 ) -> TemporalAnswerSet:
     """``certain(q, Ia, M)`` via the abstract chase's universal solution.
@@ -79,7 +57,6 @@ def certain_answers_abstract(
     chase keeps no cross-run state of its own — its incremental engine
     works region-to-region within one run.)
     """
-    _check_log(engine, log)
     result = abstract_chase(source, setting)
     universal = result.unwrap()
     if log is not None:
@@ -88,17 +65,16 @@ def certain_answers_abstract(
         cached = log.answers.recall(key, signature)
         if cached is not None:
             return cached  # type: ignore[return-value]
-        answers = naive_evaluate_abstract(query, universal, engine=engine)
+        answers = naive_evaluate_abstract(query, universal)
         log.answers.record(key, signature, answers)
         return answers
-    return naive_evaluate_abstract(query, universal, engine=engine)
+    return naive_evaluate_abstract(query, universal)
 
 
 def certain_answers_concrete(
     query: ConjunctiveQuery | UnionQuery,
     source: ConcreteInstance,
     setting: DataExchangeSetting,
-    engine: Engine = "indexed",
     log: QueryLog | None = None,
 ) -> TemporalAnswerSet:
     """``certain(q, ⟦Ic⟧, M)`` computed wholly on the concrete side.
@@ -113,7 +89,6 @@ def certain_answers_concrete(
     evaluation replays per-disjunct answers against the chased target —
     so a repeat call on an unchanged source does no join work at all.
     """
-    _check_log(engine, log)
     if log is not None:
         result = c_chase(
             source,
@@ -124,16 +99,13 @@ def certain_answers_concrete(
     else:
         result = c_chase(source, setting)
     solution = result.unwrap()
-    return naive_evaluate_concrete(
-        query, solution, engine=engine, log=log
-    ).to_temporal()
+    return naive_evaluate_concrete(query, solution, log=log).to_temporal()
 
 
 def certain_contained_in_solution(
     certain: TemporalAnswerSet,
     query: ConjunctiveQuery | UnionQuery,
     solution: AbstractInstance,
-    engine: Engine = "indexed",
 ) -> bool:
     """Soundness probe: certain answers must hold in *solution* too.
 
@@ -142,16 +114,6 @@ def certain_contained_in_solution(
     answers.  Used by tests to falsify the certain-answer computation
     against hand-built alternative solutions.
     """
-    if check_engine(engine) == "indexed":
-        # Identical to the scan loop below: naive abstract evaluation is
-        # exactly region-wise plain evaluation with null rows dropped.
-        return certain.is_subset_of(naive_evaluate_abstract(query, solution))
-    witness: dict = {}
-    for region in solution.regions():
-        snapshot = solution.snapshot(region.start)
-        for item in evaluate_snapshot(query, snapshot, engine="scan"):
-            if any(isinstance(v, (LabeledNull, AnnotatedNull)) for v in item):
-                continue
-            existing = witness.get(item, IntervalSet.empty())
-            witness[item] = existing.union(region)
-    return certain.is_subset_of(TemporalAnswerSet(witness))
+    # Naive abstract evaluation is exactly region-wise plain evaluation
+    # with null rows dropped.
+    return certain.is_subset_of(naive_evaluate_abstract(query, solution))

@@ -1,11 +1,11 @@
 """Indexed evaluation of (unions of) conjunctive queries.
 
-The scan-based procedures of :mod:`repro.query.naive_eval` re-enumerate
-full instances on every call: the abstract route materializes a fresh
-snapshot per region, and the concrete four-step route copies the whole
-solution twice per disjunct (normalization and null-freezing) before a
-dict-per-match homomorphism walk.  This module gives query answering the
-machinery the chase already has:
+A literal transcription of Section 5 re-enumerates full instances on
+every call: the abstract route materializes a fresh snapshot per region,
+and the concrete four-step route copies the whole solution twice per
+disjunct (normalization and null-freezing) before a dict-per-match
+homomorphism walk.  This module gives query answering the machinery the
+chase already has:
 
 * **plan probing** — disjunct bodies compile to the flat written-order
   join plans of :mod:`repro.relational.homomorphism`
@@ -37,9 +37,10 @@ machinery the chase already has:
   certain-answer computation against an unchanged (or
   delta-patched-elsewhere) target replays instead of re-running.
 
-Everything here is answer-set equivalent (byte-identical) to the scan
-procedures; the property suite in ``tests/property`` sweeps the
-equivalence over colliding-endpoint and null-heavy instances.
+Everything here is answer-set equivalent (byte-identical) to that
+transcription, which survives as the test oracle ``tests/oracles/query.py``;
+the property suite in ``tests/property`` sweeps the equivalence over
+colliding-endpoint and null-heavy instances.
 
 **Per-region null renaming.**  The abstract sweep needs region-constant
 facts, but a template carrying an interval-annotated null projects to a
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from typing import Iterator
 from weakref import WeakKeyDictionary
 
 from repro.abstract_view.abstract_instance import AbstractInstance
@@ -93,30 +94,11 @@ from repro.temporal.interval_set import IntervalSet
 from repro.temporal.timepoint import INFINITY
 
 __all__ = [
-    "Engine",
-    "check_engine",
     "QueryLog",
     "evaluate_snapshot_indexed",
     "evaluate_abstract_indexed",
     "evaluate_concrete_indexed",
 ]
-
-#: ``"indexed"`` is the plan-probing evaluator of this module;
-#: ``"scan"`` is the historical reference implementation in
-#: :mod:`repro.query.naive_eval`, kept for the equivalence sweeps.
-Engine = Literal["indexed", "scan"]
-
-_ENGINES = ("indexed", "scan")
-
-
-def check_engine(engine: str) -> Engine:
-    """Validate an engine name (CLI and API entry points share this)."""
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown query engine {engine!r}; expected one of {_ENGINES}"
-        )
-    return engine  # type: ignore[return-value]
-
 
 def _as_union(query: ConjunctiveQuery | UnionQuery) -> UnionQuery:
     if isinstance(query, ConjunctiveQuery):

@@ -13,15 +13,11 @@ Three evaluation modes are provided:
   nulls by fresh constants, evaluate with ``t`` ranging over stamps,
   and drop rows mentioning a fresh constant.
 
-Each mode runs on one of two engines.  ``engine="indexed"`` (the
-default) is the plan-probing evaluator of :mod:`repro.query.eval`: flat
-join plans over the warm ``(position, value)`` indexes, one live swept
-instance with counting-based maintenance on the abstract route, and a
-freeze-free concrete route with optional :class:`~repro.query.eval.QueryLog`
-replay.  ``engine="scan"`` is the historical reference implementation
-kept in this module — a literal transcription of the paper's procedures
-— which the property suite sweeps against the indexed engine for
-byte-identical answers.
+Every mode runs on the plan-probing evaluator of :mod:`repro.query.eval`:
+flat join plans over the warm ``(position, value)`` indexes, one live
+swept instance with counting-based maintenance on the abstract route,
+and a freeze-free concrete route with optional
+:class:`~repro.query.eval.QueryLog` replay.
 
 Theorem 21 states ``⟦q+(Jc)↓⟧ = q(⟦Jc⟧)↓``;
 :func:`verify_evaluation_correspondence` checks it on concrete inputs.
@@ -29,39 +25,23 @@ Theorem 21 states ``⟦q+(Jc)↓⟧ = q(⟦Jc⟧)↓``;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.abstract_view.abstract_instance import AbstractInstance
 from repro.abstract_view.semantics import semantics
 from repro.concrete.concrete_instance import ConcreteInstance
-from repro.concrete.normalization import (
-    find_temporal_homomorphisms,
-    interval_of,
-    normalize,
-)
 from repro.query.answers import (
     AnswerTuple,
     ConcreteAnswerSet,
     TemporalAnswerSet,
 )
 from repro.query.eval import (
-    Engine,
     QueryLog,
-    check_engine,
     evaluate_abstract_indexed,
     evaluate_concrete_indexed,
     evaluate_snapshot_indexed,
 )
 from repro.query.query import ConjunctiveQuery, UnionQuery
-from repro.relational.homomorphism import find_homomorphisms
 from repro.relational.instance import Instance
-from repro.relational.terms import (
-    AnnotatedNull,
-    Constant,
-    GroundTerm,
-    LabeledNull,
-)
-from repro.temporal.interval_set import IntervalSet
+from repro.relational.terms import AnnotatedNull, LabeledNull
 
 __all__ = [
     "evaluate_snapshot",
@@ -72,156 +52,56 @@ __all__ = [
 ]
 
 
-def _as_union(query: ConjunctiveQuery | UnionQuery) -> UnionQuery:
-    if isinstance(query, ConjunctiveQuery):
-        return UnionQuery((query,))
-    return query
-
-
-# ---------------------------------------------------------------------------
-# Snapshot level
-# ---------------------------------------------------------------------------
-
-
 def evaluate_snapshot(
-    query: ConjunctiveQuery | UnionQuery,
-    snapshot: Instance,
-    engine: Engine = "indexed",
+    query: ConjunctiveQuery | UnionQuery, snapshot: Instance
 ) -> frozenset[AnswerTuple]:
     """Plain evaluation: nulls behave as constants and *are* returned."""
-    if check_engine(engine) == "indexed":
-        return evaluate_snapshot_indexed(query, snapshot)
-    results: set[AnswerTuple] = set()
-    for disjunct in _as_union(query):
-        for assignment in find_homomorphisms(disjunct.body, snapshot):
-            results.add(tuple(assignment[var] for var in disjunct.head))
-    return frozenset(results)
+    return evaluate_snapshot_indexed(query, snapshot)
 
 
 def naive_evaluate_snapshot(
-    query: ConjunctiveQuery | UnionQuery,
-    snapshot: Instance,
-    engine: Engine = "indexed",
+    query: ConjunctiveQuery | UnionQuery, snapshot: Instance
 ) -> frozenset[AnswerTuple]:
     """``q(db)↓``: evaluate, then drop tuples containing any null."""
     return frozenset(
         item
-        for item in evaluate_snapshot(query, snapshot, engine=engine)
+        for item in evaluate_snapshot(query, snapshot)
         if not any(isinstance(v, (LabeledNull, AnnotatedNull)) for v in item)
     )
 
 
-# ---------------------------------------------------------------------------
-# Abstract level
-# ---------------------------------------------------------------------------
-
-
 def naive_evaluate_abstract(
-    query: ConjunctiveQuery | UnionQuery,
-    instance: AbstractInstance,
-    engine: Engine = "indexed",
+    query: ConjunctiveQuery | UnionQuery, instance: AbstractInstance
 ) -> TemporalAnswerSet:
     """``q(Ja)↓`` computed region-wise.
 
     Inside a region the snapshot is constant up to per-snapshot null
     renaming; since naive evaluation only keeps null-free tuples, the
     answer set at one representative point is the answer set everywhere
-    in the region.  The indexed engine maintains one live instance and
-    per-answer match counts across the region sweep; the scan engine
-    re-evaluates a fresh snapshot per region.
+    in the region.  One live instance and per-answer match counts are
+    maintained across the region sweep.
     """
-    if check_engine(engine) == "indexed":
-        return evaluate_abstract_indexed(query, instance)
-    grouped: dict[AnswerTuple, IntervalSet] = {}
-    for region in instance.regions():
-        snapshot = instance.snapshot(region.start)
-        for item in naive_evaluate_snapshot(query, snapshot, engine="scan"):
-            existing = grouped.get(item, IntervalSet.empty())
-            grouped[item] = existing.union(region)
-    return TemporalAnswerSet(grouped)
-
-
-# ---------------------------------------------------------------------------
-# Concrete level — the four-step q+(Jc)↓ of Section 5
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _FrozenNull:
-    """The payload of a fresh constant standing in for an annotated null.
-
-    Step 2 of the paper's procedure replaces each interval-annotated null
-    with a fresh constant ``cn^[s,e)``; wrapping the null in this marker
-    type makes step 4's "drop rows with fresh constants" a type check.
-    """
-
-    base: str
-    annotation_repr: str
-
-    def __str__(self) -> str:
-        return f"c⟨{self.base}^{self.annotation_repr}⟩"
-
-
-def _freeze_nulls(instance: ConcreteInstance) -> ConcreteInstance:
-    """Step 2: each annotated null becomes a fresh marker constant."""
-    mapping = {
-        null: Constant(_FrozenNull(null.base, str(null.annotation)))
-        for null in instance.nulls()
-    }
-    return instance.substitute(mapping)
-
-
-def _is_frozen(value: GroundTerm) -> bool:
-    return isinstance(value, Constant) and isinstance(value.value, _FrozenNull)
+    return evaluate_abstract_indexed(query, instance)
 
 
 def naive_evaluate_concrete(
     query: ConjunctiveQuery | UnionQuery,
     solution: ConcreteInstance,
-    engine: Engine = "indexed",
     log: QueryLog | None = None,
 ) -> ConcreteAnswerSet:
     """``q+(Jc)↓``: the union over disjuncts of the four-step procedure.
 
-    The indexed engine skips the freeze copy (annotated nulls already
-    join as themselves; step 4 becomes a type check at projection time)
-    and accepts a :class:`QueryLog` for recorded replay.  The scan
-    engine is the literal four-step transcription and does not support
-    a log.
+    The freeze copy is skipped (annotated nulls already join as
+    themselves; step 4 becomes a type check at projection time), and a
+    :class:`QueryLog` enables recorded replay.
     """
-    if check_engine(engine) == "indexed":
-        return evaluate_concrete_indexed(query, solution, log=log)
-    if log is not None:
-        raise ValueError(
-            "engine='scan' does not support a QueryLog; "
-            "use engine='indexed' for recorded replay"
-        )
-    rows: set[tuple[AnswerTuple, object]] = set()
-    for disjunct in _as_union(query):
-        lifted = disjunct.lift()
-        tvar = lifted.shared_variable
-        # Step 1: normalize the solution w.r.t. this disjunct's body.
-        normalized = normalize(solution, [lifted])
-        # Step 2: freeze annotated nulls into fresh constants.
-        frozen = _freeze_nulls(normalized)
-        # Step 3: evaluate; t maps to a single stamp per match.
-        for assignment, _images in find_temporal_homomorphisms(lifted, frozen):
-            item = tuple(assignment[var] for var in disjunct.head)
-            # Step 4: drop rows that still mention a fresh constant.
-            if any(_is_frozen(value) for value in item):
-                continue
-            rows.add((item, interval_of(assignment, tvar)))
-    return ConcreteAnswerSet(rows)  # type: ignore[arg-type]
+    return evaluate_concrete_indexed(query, solution, log=log)
 
 
 def verify_evaluation_correspondence(
-    query: ConjunctiveQuery | UnionQuery,
-    solution: ConcreteInstance,
-    engine: Engine = "indexed",
+    query: ConjunctiveQuery | UnionQuery, solution: ConcreteInstance
 ) -> bool:
     """Theorem 21: ``⟦q+(Jc)↓⟧ = q(⟦Jc⟧)↓`` on this input."""
-    concrete = naive_evaluate_concrete(query, solution, engine=engine)
-    abstract = naive_evaluate_abstract(
-        query, semantics(solution), engine=engine
-    )
+    concrete = naive_evaluate_concrete(query, solution)
+    abstract = naive_evaluate_abstract(query, semantics(solution))
     return concrete.to_temporal() == abstract

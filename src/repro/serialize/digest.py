@@ -70,14 +70,12 @@ def chase_request_digest(
     *,
     normalization: str = "conjunction",
     variant: str = "standard",
-    engine: str = "delta",
 ) -> str:
     """The content address of one c-chase request.
 
     Every parameter that can change the chased target participates in
-    the key; parameters that are provably output-neutral (the join
-    engine, replay state — both byte-identical by contract) do not, so
-    a warm cache keeps serving across them.
+    the key; replay state is output-neutral (byte-identical by contract)
+    and does not, so a warm cache keeps serving across it.
     """
     return _hexdigest(
         {
@@ -86,6 +84,5 @@ def chase_request_digest(
             "source": concrete_instance_to_json(source),
             "normalization": normalization,
             "variant": variant,
-            "engine": engine,
         }
     )

@@ -100,7 +100,8 @@ __all__ = [
     "decode_setting",
 ]
 
-_MAGIC = b"TDX3"
+# Bumped whenever a message layout changes.
+_MAGIC = b"TDX4"
 _BYTEORDER = 0 if sys.byteorder == "little" else 1
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -146,8 +147,6 @@ class ShardTask:
 
     shard: int
     variant: str
-    engine: str
-    incremental: bool
     regions: tuple[Interval, ...]
     templates: tuple[TemplateFact, ...]
     setting: DataExchangeSetting
@@ -878,9 +877,7 @@ def encode_shard_task(task: ShardTask) -> bytes:
     enc = _Encoder()
     body = enc.body
     body.append(task.shard)
-    body.append(1 if task.incremental else 0)
     body.append(enc.string(task.variant))
-    body.append(enc.string(task.engine))
     body.append(_encode_setting(enc, task.setting))
     body.append(len(task.regions))
     for region in task.regions:
@@ -892,9 +889,7 @@ def encode_shard_task(task: ShardTask) -> bytes:
 def decode_shard_task(payload: bytes | memoryview) -> ShardTask:
     dec = _Decoder(payload, _MSG_TASK)
     shard = dec.read()
-    incremental = bool(dec.read())
     variant = dec.string()
-    engine = dec.string()
     setting = _decode_setting(dec)
     regions = tuple(
         dec.intervals[ref] for ref in dec.read_many(dec.read())
@@ -903,8 +898,6 @@ def decode_shard_task(payload: bytes | memoryview) -> ShardTask:
     return ShardTask(
         shard=shard,
         variant=variant,
-        engine=engine,
-        incremental=incremental,
         regions=regions,
         templates=templates,
         setting=setting,

@@ -31,9 +31,8 @@ under the owner at shutdown and warns about leaks.  :func:`attach` and
 :func:`give_away` encapsulate that dance.
 
 Platform fallback: :func:`available` probes segment creation once per
-process; where it fails (or ``REPRO_SHM=off``) the scheduler keeps the
-original pickle path.  ``REPRO_SHM=on`` forces the shared-memory path
-and lets the probe's failure surface loudly.
+process; the scheduler hands payloads over shared memory exactly when
+it succeeds and keeps the original pickle path otherwise.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ except ImportError:  # pragma: no cover — stripped-down stdlib builds
 
 __all__ = [
     "available",
-    "transport_enabled",
     "new_run_id",
     "segment_name",
     "write",
@@ -82,21 +80,6 @@ def available() -> bool:
             except (OSError, ValueError):  # pragma: no cover — no shm fs
                 _probe_result = False
     return _probe_result
-
-
-def transport_enabled() -> bool:
-    """Whether the scheduler should use shared-memory hand-off.
-
-    ``REPRO_SHM=off`` forces the pickle path (debugging, CI parity
-    matrices); ``REPRO_SHM=on`` skips the probe's graceful fallback;
-    the default is "use it where it works".
-    """
-    override = os.environ.get("REPRO_SHM", "auto").lower()
-    if override == "off":
-        return False
-    if override == "on":
-        return True
-    return available()
 
 
 def new_run_id() -> int:

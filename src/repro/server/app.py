@@ -15,9 +15,9 @@ violations) map to 400, an unknown session to 404, a failing chase to
 409.  Only a genuine server-side defect produces a 500.
 
 Every POST body is read through the versioned request envelope
-(``{"v": 1, ...}``; bodies without ``"v"`` are the legacy PR 9 dialect
-— see :func:`~repro.server.protocol.unwrap_envelope`); unknown
-versions are a 400 before any routing happens.
+(``{"v": 1, ...}``; a body without ``"v"`` reads as v1 — see
+:func:`~repro.server.protocol.unwrap_envelope`); unknown versions are a
+400 before any routing happens.
 
 Endpoints (full reference with examples in ``docs/server.md``)::
 
@@ -31,7 +31,7 @@ Endpoints (full reference with examples in ``docs/server.md``)::
     GET    /sessions/{name}/source       the cumulative source instance
     POST   /sessions/{name}/delta        {delta: {add, remove}} → target diff
     POST   /sessions/{name}/events       {events: [...][, mapping]} → ingest + diff
-    POST   /sessions/{name}/query        {query[, engine]} → certain answers
+    POST   /sessions/{name}/query        {query} → certain answers
     POST   /sessions/{name}/abstract     {shards[, executor]} → sharded abstract chase
     POST   /sessions/{name}/snapshot     persist to the spool directory
     POST   /sessions/{name}/load         rebuild from the spool directory
@@ -271,7 +271,7 @@ class ReproServer:
             if method == "POST":
                 from repro.server.protocol import unwrap_envelope
 
-                _version, payload = unwrap_envelope(request.payload)
+                payload = unwrap_envelope(request.payload)
                 if "setting" not in payload or "source" not in payload:
                     raise ProtocolError(
                         "session creation needs 'name', 'setting' and 'source'"
@@ -306,14 +306,13 @@ class ReproServer:
             raise ProtocolError(f"use POST on /sessions/{{name}}/{rest}", status=405)
         from repro.server.protocol import unwrap_envelope
 
-        version, payload = unwrap_envelope(request.payload)
+        payload = unwrap_envelope(request.payload)
         if rest == "delta":
             from repro.server.protocol import delta_from_payload
 
             return manager.delta, {
                 "name": name,
-                "delta": delta_from_payload(version, payload),
-                "legacy": version is None,
+                "delta": delta_from_payload(payload),
             }
         if rest == "events":
             from repro.server.protocol import require_list
@@ -332,14 +331,12 @@ class ReproServer:
             return manager.query, {
                 "name": name,
                 "query_text": require_str(payload, "query"),
-                "engine": payload.get("engine", "indexed"),
             }
         if rest == "abstract":
             return manager.abstract, {
                 "name": name,
                 "shards": payload.get("shards", 1),
                 "executor": payload.get("executor", "serial"),
-                "incremental": bool(payload.get("incremental", True)),
             }
         if rest == "snapshot":
             return manager.snapshot, {"name": name}

@@ -165,21 +165,17 @@ class ServerClient:
             fields["mapping"] = mapping
         return self.post(f"/sessions/{name}/events", fields)
 
-    def query(self, name: str, query: str, engine: str = "indexed") -> dict:
-        return self.post(
-            f"/sessions/{name}/query", {"query": query, "engine": engine}
-        )
+    def query(self, name: str, query: str) -> dict:
+        return self.post(f"/sessions/{name}/query", {"query": query})
 
     def abstract(
         self,
         name: str,
         shards: int = 1,
         executor: str = "serial",
-        incremental: bool = True,
     ) -> dict:
         return self.post(
-            f"/sessions/{name}/abstract",
-            {"shards": shards, "executor": executor, "incremental": incremental},
+            f"/sessions/{name}/abstract", {"shards": shards, "executor": executor}
         )
 
     def snapshot(self, name: str) -> dict:

@@ -2,37 +2,24 @@
 
 The wire format is the JSON codec of :mod:`repro.serialize.jsonio` —
 facts, instances and settings travel exactly as they do in the CLI's
-files — wrapped in **one versioned request envelope**.  A POST body is
-either::
-
-    {"v": 1, ...fields...}
-
-or, for backward compatibility, the bare ``{...fields...}`` object PR 9
-clients send (treated as the legacy pre-envelope dialect).  Unknown
-versions are a 400; :func:`unwrap_envelope` is the single place that
-rule lives.  This module holds the pieces both sides of the wire share:
-payload validation that turns malformed requests into
-:class:`ProtocolError` (an HTTP 4xx, never a 5xx), fact-list decoding,
-source-delta decoding onto :class:`repro.deltas.SourceDelta`, and the
-target-diff encoding every delta response uses.
-
-A target **diff** travels as the :class:`~repro.deltas.SourceDelta`
-codec (``{"add": [...], "remove": [...]}``, facts in canonical
-:meth:`ConcreteFact.sort_key` order) on versioned requests; legacy
-requests still receive the pre-envelope ``{"added": [...],
-"removed": [...]}`` shape from :func:`diff_to_json`.
+files — wrapped in **one versioned request envelope**: a POST body is
+``{"v": 1, ...fields...}``, and a body without ``"v"`` reads as v1.
+Any other version is a 400; :func:`unwrap_envelope` is the single place
+that rule lives.  This module holds the pieces both sides of the wire
+share: payload validation that turns malformed requests into
+:class:`ProtocolError` (an HTTP 4xx, never a 5xx) and source-delta
+decoding onto :class:`repro.deltas.SourceDelta`, whose codec
+(``{"add": [...], "remove": [...]}``, facts in canonical
+:meth:`ConcreteFact.sort_key` order) every delta response's target diff
+uses too.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable, Sequence
 
-from repro.concrete.concrete_fact import ConcreteFact
-from repro.concrete.concrete_instance import ConcreteInstance
 from repro.deltas import SourceDelta
 from repro.errors import DeltaError
-from repro.serialize.jsonio import concrete_fact_from_json, concrete_fact_to_json
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -40,9 +27,6 @@ __all__ = [
     "SESSION_NAME_PATTERN",
     "check_session_name",
     "delta_from_payload",
-    "diff_to_json",
-    "facts_from_json",
-    "instance_diff",
     "require_list",
     "require_str",
     "unwrap_envelope",
@@ -81,10 +65,8 @@ def require_str(payload: dict, key: str, default: str | None = None) -> str:
     return value
 
 
-def require_list(payload: dict, key: str, default: "list | None" = None) -> list:
+def require_list(payload: dict, key: str) -> list:
     if key not in payload:
-        if default is not None:
-            return default
         raise ProtocolError(f"request field {key!r} is required")
     value = payload[key]
     if not isinstance(value, list):
@@ -92,16 +74,16 @@ def require_list(payload: dict, key: str, default: "list | None" = None) -> list
     return value
 
 
-def unwrap_envelope(payload: dict) -> tuple[int | None, dict]:
-    """Split a request body into ``(version, fields)``.
+def unwrap_envelope(payload: dict) -> dict:
+    """A request body's fields, with the version envelope checked.
 
-    A body carrying ``"v"`` must carry :data:`PROTOCOL_VERSION`; any
-    other value — including non-integers — is a 400, so a future client
-    never has a v2 request misread as v1.  A body without ``"v"`` is
-    the legacy pre-envelope dialect: version ``None``, fields as-is.
+    A body without ``"v"`` reads as v1, the one version this server
+    speaks.  A body carrying ``"v"`` must carry :data:`PROTOCOL_VERSION`;
+    any other value — including non-integers — is a 400, so a future
+    client never has a v2 request misread as v1.
     """
     if "v" not in payload:
-        return None, payload
+        return payload
     version = payload["v"]
     if not isinstance(version, int) or isinstance(version, bool):
         raise ProtocolError(f"envelope field 'v' must be an integer, got {version!r}")
@@ -110,72 +92,26 @@ def unwrap_envelope(payload: dict) -> tuple[int | None, dict]:
             f"unsupported protocol version {version} "
             f"(this server speaks v{PROTOCOL_VERSION})"
         )
-    fields = {key: value for key, value in payload.items() if key != "v"}
-    return version, fields
+    return {key: value for key, value in payload.items() if key != "v"}
 
 
-def delta_from_payload(version: int | None, payload: dict) -> SourceDelta:
-    """Decode a delta request body into a :class:`SourceDelta`.
+def delta_from_payload(payload: dict) -> SourceDelta:
+    """Decode a delta request's fields into a :class:`SourceDelta`.
 
-    Versioned bodies carry the canonical codec under ``"delta"``;
-    legacy bodies carry bare top-level ``add``/``remove`` fact lists.
-    Either way a malformed delta (bad fact, duplicate, fact on both
-    sides) is a 400 via :class:`ProtocolError`.
+    The delta travels in the canonical codec under ``"delta"``; a body
+    without that field (such as bare top-level ``add``/``remove`` lists)
+    or with any other field is a 400, as is a malformed delta (bad fact,
+    duplicate, fact on both sides), via :class:`ProtocolError`.
     """
-    try:
-        if version is not None:
-            if "delta" not in payload:
-                raise ProtocolError(
-                    "a versioned delta request carries the delta under "
-                    "the 'delta' field"
-                )
-            unknown = set(payload) - {"delta"}
-            if unknown:
-                raise ProtocolError(
-                    f"unknown delta request field(s) {sorted(unknown)!r}"
-                )
-            return SourceDelta.from_json(payload["delta"])
-        return SourceDelta(
-            add=tuple(facts_from_json(require_list(payload, "add", []), "add")),
-            remove=tuple(
-                facts_from_json(require_list(payload, "remove", []), "remove")
-            ),
+    if "delta" not in payload:
+        raise ProtocolError(
+            "a delta request carries the source delta under the 'delta' "
+            'field: {"v": 1, "delta": {"add": [...], "remove": [...]}}'
         )
+    unknown = set(payload) - {"delta"}
+    if unknown:
+        raise ProtocolError(f"unknown delta request field(s) {sorted(unknown)!r}")
+    try:
+        return SourceDelta.from_json(payload["delta"])
     except DeltaError as exc:
         raise ProtocolError(str(exc)) from exc
-
-
-def facts_from_json(items: Sequence[Any], what: str) -> list[ConcreteFact]:
-    """Decode a fact list, reporting the offending index on failure."""
-    facts = []
-    for index, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ProtocolError(f"{what}[{index}] must be a fact object")
-        try:
-            facts.append(concrete_fact_from_json(item))
-        except Exception as exc:  # parse errors come in several types
-            raise ProtocolError(f"{what}[{index}] is not a valid fact: {exc}") from exc
-    return facts
-
-
-def instance_diff(
-    old: ConcreteInstance, new: ConcreteInstance
-) -> tuple[list[ConcreteFact], list[ConcreteFact]]:
-    """``(added, removed)`` between two targets, in canonical order.
-
-    Instance iteration is already content-sorted, so the diff of two
-    byte-identical instances is empty and the diff between any two is
-    deterministic regardless of how either was built.
-    """
-    added = [item for item in new if item not in old]
-    removed = [item for item in old if item not in new]
-    return added, removed
-
-
-def diff_to_json(
-    added: Iterable[ConcreteFact], removed: Iterable[ConcreteFact]
-) -> dict[str, Any]:
-    return {
-        "added": [concrete_fact_to_json(item) for item in added],
-        "removed": [concrete_fact_to_json(item) for item in removed],
-    }

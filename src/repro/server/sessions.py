@@ -53,12 +53,7 @@ from repro.serialize.jsonio import (
     term_to_json,
 )
 from repro.server.cache import CachedChase, ChaseCache
-from repro.server.protocol import (
-    ProtocolError,
-    check_session_name,
-    diff_to_json,
-    instance_diff,
-)
+from repro.server.protocol import ProtocolError, check_session_name
 
 __all__ = ["Session", "SessionManager", "SessionSnapshot", "UnknownSessionError"]
 
@@ -314,12 +309,7 @@ class SessionManager:
         session.replay_state = replay_state
         return target_diff, meta
 
-    def delta(
-        self,
-        name: str,
-        delta: SourceDelta,
-        legacy: bool = False,
-    ) -> dict[str, Any]:
+    def delta(self, name: str, delta: SourceDelta) -> dict[str, Any]:
         """Apply a source delta; respond with the *target* diff.
 
         Strict by design (via :meth:`SourceDelta.apply`): removing an
@@ -327,25 +317,17 @@ class SessionManager:
         either would let a client's view of the cumulative source drift
         from the server's, and the byte-identity guarantee (server
         target ≡ from-scratch chase of the cumulative source) is only
-        meaningful when both sides agree on what that source is.
-
-        *legacy* selects the response dialect: pre-envelope clients get
-        the old ``{"added": ..., "removed": ...}`` diff shape,
-        versioned clients get the canonical :class:`SourceDelta` codec.
+        meaningful when both sides agree on what that source is.  The
+        diff travels in the canonical :class:`SourceDelta` codec.
         """
         session = self._get(name)
         with session.lock:
             target_diff, meta = self._apply_delta(session, delta)
             session.stats["deltas"] += 1
-            diff_json = (
-                diff_to_json(target_diff.add, target_diff.remove)
-                if legacy
-                else target_diff.to_json()
-            )
             return {
                 "session": session.name,
                 "source_facts": len(session.source),
-                "diff": diff_json,
+                "diff": target_diff.to_json(),
                 **meta,
             }
 
@@ -429,12 +411,7 @@ class SessionManager:
             )
             return response
 
-    def query(
-        self,
-        name: str,
-        query_text: str,
-        engine: str = "indexed",
-    ) -> dict[str, Any]:
+    def query(self, name: str, query_text: str) -> dict[str, Any]:
         """Certain answers against the maintained target, ledger-first.
 
         The session's target *is* the chased solution, so no chase runs
@@ -443,10 +420,6 @@ class SessionManager:
         facts of each disjunct's body relations — a repeated query
         against an unchanged target replays in O(1).
         """
-        if engine not in ("indexed", "scan"):
-            raise ProtocolError(
-                f"unknown engine {engine!r}: expected 'indexed' or 'scan'"
-            )
         session = self._get(name)
         rules = [rule for rule in query_text.split(";") if rule.strip()]
         if not rules:
@@ -460,19 +433,16 @@ class SessionManager:
         except ReproError as exc:
             raise ProtocolError(f"invalid query: {exc}") from exc
         with session.lock:
-            log = session.query_log if engine == "indexed" else None
-            mark = log.answers.counters() if log is not None else (0, 0)
+            log = session.query_log
+            mark = log.answers.counters()
             answers = naive_evaluate_concrete(
-                query, session.target, engine=engine, log=log
+                query, session.target, log=log
             ).to_temporal()
-            replayed, evaluated = (
-                log.answers.delta_since(mark) if log is not None else (0, 0)
-            )
+            replayed, evaluated = log.answers.delta_since(mark)
             session.stats["queries"] += 1
             session.stats["queries_replayed"] += 1 if replayed and not evaluated else 0
             return {
                 "session": session.name,
-                "engine": engine,
                 "answers": _answers_to_json(answers),
                 "replayed": replayed,
                 "evaluated": evaluated,
@@ -483,7 +453,6 @@ class SessionManager:
         name: str,
         shards: int = 1,
         executor: str = "serial",
-        incremental: bool = True,
     ) -> dict[str, Any]:
         """A sharded abstract chase of the session's source, warm-pooled.
 
@@ -505,7 +474,6 @@ class SessionManager:
                 session.setting,
                 shards=shards,
                 executor=runner,
-                incremental=incremental,
             )
         if result.error is not None:
             raise result.error

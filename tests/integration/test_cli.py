@@ -1,16 +1,33 @@
 """Integration tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.abstract_view import semantics
 from repro.cli import main
-from repro.serialize import concrete_instance_to_json, setting_to_json
+from repro.concrete import c_chase
+from repro.query import ConjunctiveQuery
+from repro.serialize import (
+    concrete_instance_to_json,
+    render_abstract_snapshots,
+    setting_to_json,
+)
 from repro.workloads import (
     employment_setting,
     employment_source_concrete,
+    exchange_setting_org,
     medical_conflicting_scenario,
+    random_org_history,
 )
+from tests.oracles import query as scan_oracle
+from tests.oracles.chase import per_region_chase, rescan_egd_rounds
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -155,55 +172,29 @@ class TestQueryCommand:
     def test_scan_engine_agrees(self, mapping_file, source_file, capsys):
         assert self._query(mapping_file, source_file) == 0
         indexed = capsys.readouterr().out
-        assert self._query(mapping_file, source_file, "--engine", "scan") == 0
-        assert capsys.readouterr().out == indexed
+        solution = c_chase(employment_source_concrete(), employment_setting())
+        answers = scan_oracle.naive_evaluate_concrete(
+            ConjunctiveQuery.parse(self.QUERY), solution.unwrap()
+        ).to_temporal()
+        assert answers
+        assert indexed == "".join(
+            f"({', '.join(str(v) for v in row)})\t{support}\n"
+            for row, support in answers
+        )
 
     def test_incremental_replay_chain(
         self, mapping_file, source_file, tmp_path, capsys
     ):
         log = str(tmp_path / "query.log")
-        code = self._query(
-            mapping_file, source_file, "--incremental", "--query-log", log
-        )
+        code = self._query(mapping_file, source_file, "--query-log", log)
         assert code == 0
         first = capsys.readouterr()
         assert "0 replayed" in first.err
-        code = self._query(
-            mapping_file, source_file, "--incremental", "--query-log", log
-        )
+        code = self._query(mapping_file, source_file, "--query-log", log)
         assert code == 0
         second = capsys.readouterr()
         assert second.out == first.out
         assert "1 replayed, 0 evaluated" in second.err
-
-    def test_incremental_requires_query_log(self, mapping_file, source_file):
-        with pytest.raises(SystemExit):
-            self._query(mapping_file, source_file, "--incremental")
-
-    def test_query_log_requires_incremental(
-        self, mapping_file, source_file, tmp_path
-    ):
-        with pytest.raises(SystemExit):
-            self._query(
-                mapping_file,
-                source_file,
-                "--query-log",
-                str(tmp_path / "query.log"),
-            )
-
-    def test_incremental_rejects_scan_engine(
-        self, mapping_file, source_file, tmp_path
-    ):
-        with pytest.raises(SystemExit):
-            self._query(
-                mapping_file,
-                source_file,
-                "--engine",
-                "scan",
-                "--incremental",
-                "--query-log",
-                str(tmp_path / "query.log"),
-            )
 
     def test_corrupt_query_log_rejected(
         self, mapping_file, source_file, tmp_path
@@ -211,13 +202,7 @@ class TestQueryCommand:
         log = tmp_path / "query.log"
         log.write_bytes(b"not a pickle")
         with pytest.raises(SystemExit):
-            self._query(
-                mapping_file,
-                source_file,
-                "--incremental",
-                "--query-log",
-                str(log),
-            )
+            self._query(mapping_file, source_file, "--query-log", str(log))
 
 
 class TestVerifyAndFigures:
@@ -260,41 +245,11 @@ class TestEngineAndShardFlags:
     ):
         out_delta = tmp_path / "delta.json"
         out_rescan = tmp_path / "rescan.json"
-        assert (
-            main(
-                [
-                    "chase",
-                    "--mapping",
-                    mapping_file,
-                    "--source",
-                    source_file,
-                    "--engine",
-                    "delta",
-                    "--out",
-                    str(out_delta),
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "chase",
-                    "--mapping",
-                    mapping_file,
-                    "--source",
-                    source_file,
-                    "--engine",
-                    "rescan",
-                    "--out",
-                    str(out_rescan),
-                ]
-            )
-            == 0
-        )
-        assert json.loads(out_delta.read_text()) == json.loads(
-            out_rescan.read_text()
-        )
+        command = ["chase", "--mapping", mapping_file, "--source", source_file]
+        assert main([*command, "--out", str(out_delta)]) == 0
+        with rescan_egd_rounds():
+            assert main([*command, "--out", str(out_rescan)]) == 0
+        assert out_delta.read_text() == out_rescan.read_text()
 
     def test_verify_with_shards_prints_reports(
         self, mapping_file, source_file, capsys
@@ -316,23 +271,16 @@ class TestEngineAndShardFlags:
         assert "shard 0:" in captured.err and "shard 1:" in captured.err
 
     def test_verify_engine_rescan(self, mapping_file, source_file, capsys):
-        code = main(
-            [
-                "verify",
-                "--mapping",
-                mapping_file,
-                "--source",
-                source_file,
-                "--engine",
-                "rescan",
-            ]
-        )
+        with rescan_egd_rounds():
+            code = main(
+                ["verify", "--mapping", mapping_file, "--source", source_file]
+            )
         assert code == 0
         assert "correspondence holds" in capsys.readouterr().out
 
 
 class TestSchedulerFlags:
-    """PR 3: --shards/--executor/--incremental symmetric on chase/verify."""
+    """--shards/--executor/--workers symmetric on chase/verify."""
 
     def test_chase_via_abstract_prints_snapshots(
         self, mapping_file, source_file, capsys
@@ -355,21 +303,20 @@ class TestSchedulerFlags:
     def test_chase_via_abstract_incremental_matches_off(
         self, mapping_file, source_file, capsys
     ):
-        main(
+        code = main(
             [
                 "chase", "--mapping", mapping_file, "--source", source_file,
-                "--via", "abstract", "--incremental", "on",
+                "--via", "abstract",
             ]
         )
-        on_output = capsys.readouterr().out
-        main(
-            [
-                "chase", "--mapping", mapping_file, "--source", source_file,
-                "--via", "abstract", "--incremental", "off",
-            ]
+        assert code == 0
+        from_scratch = per_region_chase(
+            semantics(employment_source_concrete()), employment_setting()
+        ).target
+        points = sorted({t.interval.start for t in from_scratch.templates})
+        assert capsys.readouterr().out == (
+            render_abstract_snapshots(from_scratch, points) + "\n"
         )
-        off_output = capsys.readouterr().out
-        assert on_output == off_output
 
     def test_chase_accepts_shards_and_executor(
         self, mapping_file, source_file, capsys
@@ -398,16 +345,18 @@ class TestSchedulerFlags:
         assert "must be >= 1" in capsys.readouterr().err
 
     def test_verify_accepts_executor_and_incremental(
-        self, mapping_file, source_file, capsys
+        self, mapping_file, source_file, tmp_path, capsys
     ):
+        log = tmp_path / "norm.log"
         code = main(
             [
                 "verify", "--mapping", mapping_file, "--source", source_file,
                 "--shards", "2", "--executor", "threads",
-                "--incremental", "off",
+                "--norm-log", str(log),
             ]
         )
         assert code == 0
+        assert log.exists()
         captured = capsys.readouterr()
         assert "correspondence holds" in captured.out
         assert "shard 0:" in captured.err
@@ -482,28 +431,6 @@ class TestNormLogPersistence:
         )
         assert out1.read_text() == out2.read_text()
 
-    def test_incremental_off_skips_log(
-        self, mapping_file, source_file, tmp_path, capsys
-    ):
-        log = tmp_path / "norm.log"
-        code = main(
-            [
-                "chase",
-                "--mapping",
-                mapping_file,
-                "--source",
-                source_file,
-                "--norm-log",
-                str(log),
-                "--incremental",
-                "off",
-                "--out",
-                str(tmp_path / "out.json"),
-            ]
-        )
-        assert code == 0
-        assert not log.exists()
-
     def test_abstract_path_rejects_norm_log(
         self, mapping_file, source_file, tmp_path
     ):
@@ -577,26 +504,6 @@ class TestNormLogPersistence:
         )
         assert "correspondence holds" in capsys.readouterr().out
 
-    def test_verify_incremental_off_skips_log(
-        self, mapping_file, source_file, tmp_path, capsys
-    ):
-        log = tmp_path / "norm.log"
-        code = main(
-            [
-                "verify",
-                "--mapping",
-                mapping_file,
-                "--source",
-                source_file,
-                "--norm-log",
-                str(log),
-                "--incremental",
-                "off",
-            ]
-        )
-        assert code == 0
-        assert not log.exists()
-
     def test_naive_normalization_rejects_norm_log(
         self, mapping_file, source_file, tmp_path
     ):
@@ -615,6 +522,32 @@ class TestNormLogPersistence:
                 ]
             )
         assert "--norm-log" in str(excinfo.value)
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_141_without_traceback(self, tmp_path):
+        # `repro chase … | head -1`: the reader leaves after one line of
+        # an output (~270 kB) several times the pipe buffer.
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps(setting_to_json(exchange_setting_org())))
+        source = tmp_path / "source.json"
+        workload = random_org_history(people=160, timeline=64, seed=1)
+        source.write_text(json.dumps(concrete_instance_to_json(workload.instance)))
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "chase",
+                "--mapping", str(mapping), "--source", str(source),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert process.stdout.readline() == b"{\n"
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        assert process.wait(timeout=120) == 141
+        assert "Traceback" not in stderr
+        process.stderr.close()
 
 
 class TestIngestCommand:

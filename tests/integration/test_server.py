@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.concrete import ConcreteInstance
+from repro.query import ConjunctiveQuery
 from repro.serialize import (
     concrete_fact_to_json,
     concrete_instance_from_json,
@@ -21,12 +22,14 @@ from repro.serialize import (
     setting_to_json,
 )
 from repro.server import ClientError, ServerClient, ServerThread
+from repro.server.sessions import _answers_to_json
 from repro.workloads import (
     employment_setting,
     employment_source_concrete,
     exchange_setting_org,
     random_org_history,
 )
+from tests.oracles import query as scan_oracle
 
 ORG_SETTING_JSON = setting_to_json(exchange_setting_org())
 ORG_FACTS = list(random_org_history(people=8, timeline=16, seed=11).instance)
@@ -172,11 +175,14 @@ class TestQueries:
 
     def test_scan_engine_agrees(self, client):
         client.create("eng", ORG_SETTING_JSON, org_source_json(10))
-        indexed = client.query("eng", "answer(e, m) :- Reports(e, m)")
-        scan = client.query(
-            "eng", "answer(e, m) :- Reports(e, m)", engine="scan"
-        )
-        assert indexed["answers"] == scan["answers"]
+        text = "answer(e, m) :- Reports(e, m)"
+        indexed = client.query("eng", text)
+        target = concrete_instance_from_json(client.target("eng"))
+        scan = scan_oracle.naive_evaluate_concrete(
+            ConjunctiveQuery.parse(text), target
+        ).to_temporal()
+        assert indexed["answers"] == _answers_to_json(scan)
+        assert "engine" not in indexed
         client.evict("eng")
 
 
@@ -246,7 +252,7 @@ class TestErrorMapping:
             ("POST", "/sessions", {}, 400),
             ("POST", "/sessions", {"name": "x y", "setting": {}, "source": {}}, 400),
             ("POST", "/sessions", {"name": "ok", "setting": {"junk": 1}, "source": {}}, 400),
-            ("POST", "/sessions/ghost/delta", {"add": []}, 404),
+            ("POST", "/sessions/ghost/delta", {"delta": {"add": []}}, 404),
             ("GET", "/sessions/ghost", None, 404),
             ("POST", "/sessions/ghost/query", {"query": "x"}, 404),
             ("DELETE", "/sessions/ghost", None, 404),

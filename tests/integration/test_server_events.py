@@ -22,6 +22,7 @@ from repro.workloads import (
     late_arrival_batches,
     org_event_mapping,
     org_event_stream,
+    random_org_history,
 )
 
 ORG_SETTING_JSON = setting_to_json(exchange_setting_org())
@@ -171,10 +172,11 @@ class TestEnvelope:
         assert set(result["diff"]) == {"add", "remove"}
         client.evict("codec")
 
-    def test_legacy_wire_shape_still_accepted(self, client):
-        """Pre-envelope requests (no ``v``, top-level add/remove) keep
-        working and get the legacy ``added``/``removed`` diff dialect."""
-        client.create("legacy", ORG_SETTING_JSON, {"facts": []})
+    def test_bare_delta_body_is_a_400_naming_delta(self, client):
+        """A body without ``v`` reads as v1, so the pre-envelope bare
+        ``add``/``remove`` delta is rejected, never misread."""
+        client.create("bare", ORG_SETTING_JSON, {"facts": []})
+        before = canonical(client.source("bare"))
         fact = {
             "relation": "Emp",
             "data": [
@@ -183,11 +185,40 @@ class TestEnvelope:
             ],
             "interval": "[0, 5)",
         }
-        result = client.request(
-            "POST", "/sessions/legacy/delta", {"add": [fact], "remove": []}
+        with pytest.raises(ClientError) as excinfo:
+            client.request(
+                "POST", "/sessions/bare/delta", {"add": [fact], "remove": []}
+            )
+        assert excinfo.value.status == 400
+        assert "'delta'" in str(excinfo.value)
+        assert canonical(client.source("bare")) == before
+        client.evict("bare")
+
+    def test_unversioned_query_answers_as_v1(self, client):
+        source = random_org_history(people=6, timeline=16, seed=2).instance
+        client.create(
+            "unversioned", ORG_SETTING_JSON, concrete_instance_to_json(source)
         )
-        assert set(result["diff"]) == {"added", "removed"}
-        client.evict("legacy")
+        text = "answer(e, m) :- Reports(e, m)"
+        bare = client.request(
+            "POST", "/sessions/unversioned/query", {"query": text}
+        )
+        enveloped = client.query("unversioned", text)
+        assert bare["answers"] == enveloped["answers"]
+        assert bare["answers"]
+        client.evict("unversioned")
+
+    def test_version_two_is_still_a_400(self, client):
+        client.create("v2", ORG_SETTING_JSON, {"facts": []})
+        for path, fields in (
+            ("/sessions/v2/query", {"query": "answer(e, m) :- Reports(e, m)"}),
+            ("/sessions/v2/delta", {"delta": {"add": [], "remove": []}}),
+        ):
+            with pytest.raises(ClientError) as excinfo:
+                client.request("POST", path, {"v": 2, **fields})
+            assert excinfo.value.status == 400
+            assert "unsupported protocol version 2" in str(excinfo.value)
+        client.evict("v2")
 
 
 class TestIngestFollowCLI:

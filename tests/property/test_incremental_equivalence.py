@@ -1,9 +1,10 @@
 """Incremental cross-region chase ≡ from-scratch chase, byte-for-byte.
 
-The incremental mode replays the previous region's recorded firing
+The abstract chase replays the previous region's recorded firing
 sequence against the patched snapshot; the hard requirement is that
 everything observable is identical to chasing every region from scratch
-— the abstract solution, the per-region targets, the full traces (null
+(the :func:`~tests.oracles.chase.per_region_chase` oracle) — the
+abstract solution, the per-region targets, the full traces (null
 *names* included: replayed firings keep their Skolem-named nulls),
 failures and their regions.  Hypothesis drives the comparison
 over generated employment histories, a failure-heavy key-clash mapping,
@@ -17,6 +18,8 @@ from hypothesis import given, settings
 from repro.abstract_view import abstract_chase, semantics
 from repro.dependencies import DataExchangeSetting
 from repro.relational import Schema
+
+from tests.oracles.chase import per_region_chase
 
 from .strategies import employment_instances
 
@@ -72,34 +75,22 @@ class TestIncrementalEqualsFull:
     @given(source=employment_instances(max_facts=8))
     def test_join_setting(self, source):
         abstract = semantics(source)
-        incremental = abstract_chase(
-            abstract, JOIN_SETTING, incremental=True,
-        )
-        full = abstract_chase(
-            abstract, JOIN_SETTING, incremental=False,
-        )
+        incremental = abstract_chase(abstract, JOIN_SETTING)
+        full = per_region_chase(abstract, JOIN_SETTING)
         _assert_byte_identical(incremental, full)
 
     @settings(max_examples=60, deadline=None)
     @given(source=employment_instances(max_facts=8))
     def test_failure_heavy_setting(self, source):
         abstract = semantics(source)
-        incremental = abstract_chase(
-            abstract, CLASH_SETTING, incremental=True,
-        )
-        full = abstract_chase(
-            abstract, CLASH_SETTING, incremental=False,
-        )
+        incremental = abstract_chase(abstract, CLASH_SETTING)
+        full = per_region_chase(abstract, CLASH_SETTING)
         _assert_byte_identical(incremental, full)
 
     @settings(max_examples=30, deadline=None)
     @given(source=employment_instances(max_facts=8))
     def test_sharded_chains(self, source):
         abstract = semantics(source)
-        incremental = abstract_chase(
-            abstract, JOIN_SETTING, incremental=True, shards=3,
-        )
-        full = abstract_chase(
-            abstract, JOIN_SETTING, incremental=False, shards=3,
-        )
+        incremental = abstract_chase(abstract, JOIN_SETTING, shards=3)
+        full = per_region_chase(abstract, JOIN_SETTING)
         _assert_byte_identical(incremental, full)

@@ -6,7 +6,8 @@ intervals, bounded and unbounded, are all generated):
 
 * **sweep ≡ pairwise** — the endpoint-sweep engine produces the same
   fragments, in the same instance order, with the same report counts as
-  the historical per-pair reference enumeration;
+  the historical per-pair enumeration (the
+  :func:`~tests.oracles.normalization.pairwise_overlaps` oracle);
 * **primitives ≡ brute force** — the overlap/bipartite cluster sweeps
   agree with quadratic pairwise enumeration on clusters and pair counts;
 * **incremental ≡ full** — replaying a recorded
@@ -32,6 +33,7 @@ from repro.temporal import (
     sweep_overlap_clusters,
 )
 from repro.workloads import employment_setting
+from tests.oracles.normalization import pairwise_overlaps
 
 
 def tc(text: str) -> TemporalConjunction:
@@ -87,12 +89,9 @@ class TestSweepEqualsPairwise:
     @settings(max_examples=120, deadline=None)
     @given(dense_instances(), st.sampled_from(CONJUNCTION_SETS))
     def test_fragments_counts_and_order(self, instance, conjunctions):
-        swept, sweep_report = normalize_with_report(
-            instance, conjunctions, engine="sweep"
-        )
-        paired, pair_report = normalize_with_report(
-            instance, conjunctions, engine="pairwise"
-        )
+        swept, sweep_report = normalize_with_report(instance, conjunctions)
+        with pairwise_overlaps():
+            paired, pair_report = normalize_with_report(instance, conjunctions)
         assert swept.facts() == paired.facts()
         # Instance iteration is the deterministic fact order consumers
         # see; the engines must agree on it, not just on the set.

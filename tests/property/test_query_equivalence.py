@@ -1,9 +1,10 @@
 """Indexed query evaluation ≡ scan reference, swept by Hypothesis.
 
-The indexed engine (plan probing, counting-based region sweep, freeze-free
-concrete route, QueryLog replay) must be answer-equivalent to the scan
-transcription of the paper's procedures — answer sets, interval
-annotations and (sorted) tuple order alike.  The sweep drives colliding-
+The indexed evaluator (plan probing, counting-based region sweep,
+freeze-free concrete route, QueryLog replay) must be answer-equivalent to
+the scan transcription of the paper's procedures (the
+:mod:`tests.oracles.query` oracle) — answer sets, interval annotations
+and (sorted) tuple order alike.  The sweep drives colliding-
 endpoint instances (small integer timelines, so template stamps share
 endpoints constantly) and null-heavy chased targets (E facts without a
 matching S draw existential nulls), plus the Theorem 21 correspondence on
@@ -12,7 +13,6 @@ the new paths.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 
 from repro.abstract_view import semantics
@@ -28,6 +28,7 @@ from repro.query import (
     verify_evaluation_correspondence,
 )
 from repro.relational import Schema
+from tests.oracles import query as scan_oracle
 
 from .strategies import concrete_instances, employment_instances
 
@@ -78,8 +79,8 @@ class TestIndexedEqualsScan:
         if solution is None:
             return
         for query in QUERIES:
-            indexed = naive_evaluate_concrete(query, solution, engine="indexed")
-            scan = naive_evaluate_concrete(query, solution, engine="scan")
+            indexed = naive_evaluate_concrete(query, solution)
+            scan = scan_oracle.naive_evaluate_concrete(query, solution)
             # Same rows, same interval annotations, same sorted order.
             assert indexed.rows == scan.rows
             assert list(indexed) == list(scan)
@@ -92,8 +93,8 @@ class TestIndexedEqualsScan:
             return
         abstract = semantics(solution)
         for query in QUERIES:
-            indexed = naive_evaluate_abstract(query, abstract, engine="indexed")
-            scan = naive_evaluate_abstract(query, abstract, engine="scan")
+            indexed = naive_evaluate_abstract(query, abstract)
+            scan = scan_oracle.naive_evaluate_abstract(query, abstract)
             assert indexed == scan
             # Canonical interval sets piece by piece, and sorted order.
             assert list(indexed) == list(scan)
@@ -110,15 +111,11 @@ class TestIndexedEqualsScan:
     def test_direct_instances_colliding_endpoints(self, source):
         abstract = semantics(source)
         for query in DIRECT_QUERIES:
-            indexed = naive_evaluate_abstract(query, abstract, engine="indexed")
-            scan = naive_evaluate_abstract(query, abstract, engine="scan")
+            indexed = naive_evaluate_abstract(query, abstract)
+            scan = scan_oracle.naive_evaluate_abstract(query, abstract)
             assert indexed == scan
-            concrete_indexed = naive_evaluate_concrete(
-                query, source, engine="indexed"
-            )
-            concrete_scan = naive_evaluate_concrete(
-                query, source, engine="scan"
-            )
+            concrete_indexed = naive_evaluate_concrete(query, source)
+            concrete_scan = scan_oracle.naive_evaluate_concrete(query, source)
             assert concrete_indexed.rows == concrete_scan.rows
 
     @settings(max_examples=30, deadline=None)
@@ -131,9 +128,9 @@ class TestIndexedEqualsScan:
         for region in abstract.regions():
             snapshot = abstract.snapshot(region.start)
             for query in QUERIES:
-                assert evaluate_snapshot(
-                    query, snapshot, engine="indexed"
-                ) == evaluate_snapshot(query, snapshot, engine="scan")
+                assert evaluate_snapshot(query, snapshot) == (
+                    scan_oracle.evaluate_snapshot(query, snapshot)
+                )
 
     @settings(max_examples=25, deadline=None)
     @given(source=employment_instances(max_facts=8))
@@ -142,9 +139,7 @@ class TestIndexedEqualsScan:
         if solution is None:
             return
         for query in QUERIES:
-            assert verify_evaluation_correspondence(
-                query, solution, engine="indexed"
-            )
+            assert verify_evaluation_correspondence(query, solution)
 
     @settings(max_examples=25, deadline=None)
     @given(source=employment_instances(max_facts=8))
@@ -154,30 +149,9 @@ class TestIndexedEqualsScan:
             return
         log = QueryLog()
         for query in QUERIES:
-            fresh = naive_evaluate_concrete(query, solution, engine="indexed")
-            first = naive_evaluate_concrete(
-                query, solution, engine="indexed", log=log
-            )
-            replayed = naive_evaluate_concrete(
-                query, solution, engine="indexed", log=log
-            )
+            fresh = naive_evaluate_concrete(query, solution)
+            first = naive_evaluate_concrete(query, solution, log=log)
+            replayed = naive_evaluate_concrete(query, solution, log=log)
             assert fresh.rows == first.rows == replayed.rows
         assert log.hits > 0
 
-
-class TestEngineValidation:
-    def test_unknown_engine_rejected(self):
-        query = ConjunctiveQuery.parse("q(x) :- R(x)")
-        from repro.relational import Instance
-
-        with pytest.raises(ValueError, match="unknown query engine"):
-            evaluate_snapshot(query, Instance(), engine="turbo")
-
-    def test_scan_log_combination_rejected(self):
-        from repro.concrete import ConcreteInstance
-
-        query = ConjunctiveQuery.parse("q(x) :- R(x)")
-        with pytest.raises(ValueError, match="does not support a QueryLog"):
-            naive_evaluate_concrete(
-                query, ConcreteInstance(), engine="scan", log=QueryLog()
-            )

@@ -6,20 +6,23 @@ flat written-order join's for *any* plan shape (the order contract
 documented next to :func:`_iter_wcoj_rows`), which is what lets the
 chase, normalization and the query evaluator switch engines without
 perturbing traces, null numbering or goldens.  This suite sweeps that
-contract over the shapes the join modes actually disagree on how to
+contract over the shapes the two joins actually disagree on how to
 compute:
 
 * cyclic bodies — the triangle and the 4-cycle, where ``auto`` picks
   the generic join;
 * skew-heavy hub graphs — many length-2 paths, few closing edges, the
   worst case for the flat join's intermediate results;
-* acyclic paths/stars under *forced* ``wcoj`` mode, where ``auto``
-  would keep the flat join but the order contract must still hold.
+* acyclic paths/stars with the join *pinned* to ``wcoj``, where the
+  product's selection would keep the flat join but the order contract
+  must still hold.
 
 Three layers are checked: the raw plan rows (byte-identical sequence),
-tgd-style homomorphism matching (same match set under every mode, plus a
-brute-force nested-loop scan reference), and query answering (indexed
-evaluator under every mode vs the scan transcription).
+tgd-style homomorphism matching (same match set under every join, plus
+a brute-force nested-loop scan reference), and query answering (indexed
+evaluator under every join vs the scan transcription).  The
+:func:`~tests.oracles.joins.pinned_join` oracle pins a join; ``"auto"``
+is the product's own selection.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.relational.homomorphism as homomorphism
 from repro.concrete import ConcreteInstance, c_chase, concrete_fact
 from repro.query import ConjunctiveQuery, naive_evaluate_concrete
 from repro.relational import Instance, fact, parse_conjunction
@@ -36,14 +40,15 @@ from repro.relational.homomorphism import (
     _iter_wcoj_rows,
     _plan_is_cyclic,
     find_homomorphisms_with_images,
-    join_mode,
 )
 from repro.temporal import Interval
 from repro.workloads import exchange_setting_triangle
+from tests.oracles import query as scan_oracle
+from tests.oracles.joins import JOINS, pinned_join
 
 # One parsed body per shape class.  All-variable, no repeats — the shapes
 # the flat-join planner accepts (anything else falls back to the generic
-# backtracking search in every mode, so there is nothing to compare).
+# backtracking search under every join, so there is nothing to compare).
 TRIANGLE = parse_conjunction("T(x, y) & T(y, z) & T(z, x)").atoms
 FOUR_CYCLE = parse_conjunction(
     "T(x, y) & T(y, z) & T(z, w) & T(w, x)"
@@ -54,7 +59,6 @@ STAR = parse_conjunction("A(h, x) & B(h, y) & C(h, z)").atoms
 
 CYCLIC_BODIES = (TRIANGLE, FOUR_CYCLE, MIXED_CYCLE)
 ACYCLIC_BODIES = (PATH, STAR)
-MODES = ("flat", "wcoj", "auto")
 
 
 @st.composite
@@ -149,42 +153,39 @@ class TestRowSequenceByteIdentical:
             )
 
     def test_plan_cyclicity_classification(self):
-        # auto's selection rule: generic join exactly on the cyclic cores.
+        # The selection rule: generic join exactly on the cyclic cores.
         for atoms in CYCLIC_BODIES:
             assert _plan_is_cyclic(_flat_join_plan(atoms))
         for atoms in ACYCLIC_BODIES:
             assert not _plan_is_cyclic(_flat_join_plan(atoms))
 
     def test_auto_mode_size_cutoff(self):
-        # auto only pays the generic join's constant factor once some
-        # body relation is big enough for the asymptotics to matter;
-        # explicit flat/wcoj ignore the cutoff.
-        from repro.relational.homomorphism import (
-            _WCOJ_MIN_FACTS,
-            _wcoj_selected,
-        )
-
+        # The product only pays the generic join's constant factor once
+        # some body relation is big enough for the asymptotics to matter;
+        # a pinned flat/wcoj join ignores the cutoff.
         small = Instance([fact("T", f"a{i}", f"b{i}") for i in range(10)])
         big = Instance(
-            [fact("T", f"a{i}", f"b{i}") for i in range(_WCOJ_MIN_FACTS)]
+            [
+                fact("T", f"a{i}", f"b{i}")
+                for i in range(homomorphism._WCOJ_MIN_FACTS)
+            ]
         )
         plan = _flat_join_plan(TRIANGLE)
-        with join_mode("auto"):
-            assert not _wcoj_selected(plan, small)
-            assert _wcoj_selected(plan, big)
-            assert _wcoj_selected(plan)  # no instance: cyclicity decides
-        with join_mode("wcoj"):
-            assert _wcoj_selected(plan, small)
-        with join_mode("flat"):
-            assert not _wcoj_selected(plan, big)
+        assert not homomorphism._wcoj_selected(plan, small)
+        assert homomorphism._wcoj_selected(plan, big)
+        assert homomorphism._wcoj_selected(plan)  # no instance: cyclicity decides
+        with pinned_join("wcoj"):
+            assert homomorphism._wcoj_selected(plan, small)
+        with pinned_join("flat"):
+            assert not homomorphism._wcoj_selected(plan, big)
 
 
 class TestTgdMatchingModeEquivalence:
-    """Homomorphism search — the chase's tgd matcher — under every mode.
+    """Homomorphism search — the chase's tgd matcher — under every join.
 
     The match *set* (assignment plus per-atom images) must be identical
-    across modes; the enumeration order may legitimately differ because
-    flat mode's ≥3-atom search is cardinality-driven while the generic
+    across joins; the enumeration order may legitimately differ because
+    the flat ≥3-atom search is cardinality-driven while the generic
     join is written-variable-ordered, so the comparison sorts.
     """
 
@@ -210,8 +211,8 @@ class TestTgdMatchingModeEquivalence:
     def test_single_relation_bodies(self, instance):
         for atoms in (TRIANGLE, FOUR_CYCLE, PATH):
             reference = None
-            for mode in MODES:
-                with join_mode(mode):
+            for join in JOINS:
+                with pinned_join(join):
                     found = self._matches(atoms, instance)
                 if reference is None:
                     reference = found
@@ -224,8 +225,8 @@ class TestTgdMatchingModeEquivalence:
     def test_mixed_relation_bodies(self, instance):
         for atoms in (MIXED_CYCLE, STAR):
             results = []
-            for mode in MODES:
-                with join_mode(mode):
+            for join in JOINS:
+                with pinned_join(join):
                     results.append(self._matches(atoms, instance))
             assert results[0] == results[1] == results[2]
 
@@ -264,20 +265,18 @@ FOUR_CYCLE_QUERY = ConjunctiveQuery.parse(
 
 class TestQueryAnsweringModeEquivalence:
     """The indexed evaluator routes cyclic bodies through the same plan
-    layer; every mode must agree with the scan transcription — answers,
+    layer; every join must agree with the scan transcription — answers,
     interval annotations, and (sorted) tuple order alike."""
 
     @settings(max_examples=40, deadline=None)
     @given(source=temporal_edge_instances())
     def test_cyclic_queries_all_modes(self, source):
         for query in (TRIANGLE_QUERY, FOUR_CYCLE_QUERY):
-            with join_mode("flat"):
-                scan = naive_evaluate_concrete(query, source, engine="scan")
-            for mode in MODES:
-                with join_mode(mode):
-                    indexed = naive_evaluate_concrete(
-                        query, source, engine="indexed"
-                    )
+            with pinned_join("flat"):
+                scan = scan_oracle.naive_evaluate_concrete(query, source)
+            for join in JOINS:
+                with pinned_join(join):
+                    indexed = naive_evaluate_concrete(query, source)
                 assert indexed.rows == scan.rows
                 assert list(indexed) == list(scan)
 
@@ -293,10 +292,10 @@ class TestChaseModeEquivalence:
     def test_triangle_exchange_byte_identical(self, source):
         setting = exchange_setting_triangle()
         runs = {}
-        for mode in ("flat", "wcoj"):
-            with join_mode(mode):
+        for join in ("flat", "wcoj"):
+            with pinned_join(join):
                 result = c_chase(source, setting)
             assert result.succeeded
-            runs[mode] = result
+            runs[join] = result
         assert runs["flat"].target == runs["wcoj"].target
         assert repr(runs["flat"].trace.steps) == repr(runs["wcoj"].trace.steps)

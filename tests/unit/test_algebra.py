@@ -10,12 +10,12 @@ from repro.relational import (
     fact,
     parse_conjunction,
 )
-from repro.relational.algebra import (
+from repro.relational.homomorphism import find_homomorphisms
+from tests.oracles.algebra import (
     Relation,
     answers_via_algebra,
     evaluate_conjunction,
 )
-from repro.relational.homomorphism import find_homomorphisms
 
 
 @pytest.fixture

@@ -91,7 +91,6 @@ class TestChaseRequestDigest:
         base = chase_request_digest(setting, source)
         assert base != chase_request_digest(setting, source, variant="oblivious")
         assert base != chase_request_digest(setting, source, normalization="naive")
-        assert base != chase_request_digest(setting, source, engine="rescan")
 
     def test_source_participates(self):
         setting = employment_setting()

@@ -1,7 +1,8 @@
 """Unit tests for the incremental cross-region chase (PR 3).
 
 Covers the region-delta sweep's edge cases, byte-identity of the
-incremental region chain against the from-scratch reference, and
+incremental region chain against the from-scratch reference (the
+:func:`~tests.oracles.chase.per_region_chase` oracle), and
 shard-failure propagation through :class:`AbstractChaseResult`.
 """
 
@@ -26,6 +27,7 @@ from repro.workloads import (
     random_employment_history,
     random_org_history,
 )
+from tests.oracles.chase import per_region_chase
 
 
 def _template(relation, values, interval_):
@@ -113,7 +115,7 @@ class TestIdenticalSnapshotsReplay:
                 _template("S", ("x",), Interval(0, 7)),
             ]
         )
-        result = abstract_chase(source, self.SETTING, incremental=True)
+        result = abstract_chase(source, self.SETTING)
         assert result.succeeded
         # Region [3, 7) has an identical snapshot to [0, 3): the
         # incremental path must not find or fire a single live rule.
@@ -123,7 +125,7 @@ class TestIdenticalSnapshotsReplay:
         assert stats.replayed_firings == 1
         # ... and the result equals the from-scratch one: each region
         # annotates the (Skolem-named) null with its own interval.
-        full = abstract_chase(source, self.SETTING, incremental=False)
+        full = per_region_chase(source, self.SETTING)
         assert sorted(map(str, result.target.templates)) == sorted(
             map(str, full.target.templates)
         )
@@ -175,8 +177,8 @@ class TestIncrementalChainByteIdentity:
                 ]
             )
         )
-        incremental = abstract_chase(source, setting, incremental=True)
-        full = abstract_chase(source, setting, incremental=False)
+        incremental = abstract_chase(source, setting)
+        full = per_region_chase(source, setting)
         assert incremental.failed and full.failed
         assert incremental.failed_region == full.failed_region == Interval(4, 6)
         assert str(incremental.failure) == str(full.failure)
@@ -204,27 +206,27 @@ class TestShardFailurePropagation:
         target_region = regions[len(regions) * 3 // 4]
         module = importlib.import_module("repro.abstract_view.abstract_chase")
 
-        original = module.chase_snapshot
+        original = module.IncrementalRegionChaser.chase
 
-        def exploding(snapshot, setting_, **kwargs):
+        def exploding(self, snapshot, added, removed):
             if exploding.region == target_region:
                 raise RuntimeError("disk on fire")
-            return original(snapshot, setting_, **kwargs)
+            return original(self, snapshot, added, removed)
 
         exploding.region = None
 
         def tracking(self, regions_=None):
-            for region, snapshot in original_iter(self, regions_):
+            for region, *rest in original_iter(self, regions_):
                 exploding.region = region
-                yield region, snapshot
+                yield (region, *rest)
 
-        original_iter = module.AbstractInstance.iter_region_snapshots
-        monkeypatch.setattr(module, "chase_snapshot", exploding)
+        original_iter = module.AbstractInstance.iter_region_deltas
+        monkeypatch.setattr(module.IncrementalRegionChaser, "chase", exploding)
         monkeypatch.setattr(
-            module.AbstractInstance, "iter_region_snapshots", tracking
+            module.AbstractInstance, "iter_region_deltas", tracking
         )
 
-        result = abstract_chase(source, setting, shards=2, incremental=False)
+        result = abstract_chase(source, setting, shards=2)
         assert result.failed
         assert result.error is not None
         assert result.failed_shard == 1
@@ -258,7 +260,7 @@ class TestShardFailurePropagation:
         monkeypatch.setattr(
             module.IncrementalRegionChaser, "chase", exploding
         )
-        result = abstract_chase(source, setting, incremental=True)
+        result = abstract_chase(source, setting)
         assert result.failed and result.failed_shard == 0
         assert result.failed_region == target_region
         with pytest.raises(ShardExecutionError, match="replay log corrupted"):

@@ -22,6 +22,7 @@ from repro.workloads import (
     algorithm1_example_instance,
     salary_conjunction,
 )
+from tests.oracles.normalization import pairwise_overlaps
 
 
 def tc(text: str) -> TemporalConjunction:
@@ -242,13 +243,14 @@ class TestSweepEngineAndLog:
     def test_pairwise_reference_matches_sweep(self):
         inst = algorithm1_example_instance()
         conjs = algorithm1_example_conjunctions()
-        swept, sweep_report = normalize_with_report(inst, conjs, engine="sweep")
-        paired, pair_report = normalize_with_report(inst, conjs, engine="pairwise")
+        swept, sweep_report = normalize_with_report(inst, conjs)
+        with pairwise_overlaps():
+            paired, pair_report = normalize_with_report(inst, conjs)
         assert swept == paired
         assert sweep_report.matched_pairs == pair_report.matched_pairs == 3
         # Example 14's three matched sets are three overlap sets too.
         assert sweep_report.matched_sets == 3
-        # The reference engine reports the historical count in both.
+        # The pairwise reference reports the historical count in both.
         assert pair_report.matched_sets == pair_report.matched_pairs
 
     def test_symmetric_pairs_count_self_matches_and_orders(self):
@@ -265,8 +267,8 @@ class TestSweepEngineAndLog:
 
     def test_pairwise_rejects_logging(self):
         inst = ConcreteInstance()
-        with pytest.raises(ValueError):
-            normalize_with_report(inst, [], engine="pairwise", record=True)
+        with pairwise_overlaps(), pytest.raises(ValueError):
+            normalize_with_report(inst, [tc("R(x) & S(x)")], record=True)
 
     def test_record_and_replay_counts(self):
         inst = ConcreteInstance(

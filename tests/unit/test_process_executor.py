@@ -17,7 +17,10 @@ from repro.errors import (
 )
 from repro.relational import Constant, Instance, Schema, fact
 from repro.temporal import Interval
+from repro.serialize import shm
 from repro.workloads import exchange_setting_org, random_org_history
+from tests.oracles.chase import per_region_chase
+from tests.oracles.transport import pickle_transport
 
 
 ORG_SETTING = exchange_setting_org()
@@ -80,21 +83,31 @@ class TestProcessExecutorParity:
 
     def test_identical_on_from_scratch_schedule(self):
         abstract = _org_abstract()
-        unsharded = abstract_chase(abstract, ORG_SETTING, incremental=False)
-        serial = abstract_chase(
-            abstract, ORG_SETTING, shards=2, incremental=False
-        )
+        from_scratch = per_region_chase(abstract, ORG_SETTING)
         procs = abstract_chase(
-            abstract,
-            ORG_SETTING,
-            shards=2,
-            executor="processes",
-            incremental=False,
+            abstract, ORG_SETTING, shards=2, executor="processes"
         )
-        _assert_identical(procs, unsharded)
-        _assert_identical(serial, unsharded)
-        _assert_same_reuse(procs, serial)
-        assert all(report.reuse is None for report in procs.shard_reports)
+        _assert_identical(procs, from_scratch)
+
+    def test_pickle_fallback_parity(self):
+        # Both wire paths — shared-memory segments where the platform has
+        # them, the pickle pipe otherwise — merge byte-identical results.
+        abstract = _org_abstract()
+        unsharded = abstract_chase(abstract, ORG_SETTING)
+        with pickle_transport():
+            piped = abstract_chase(
+                abstract, ORG_SETTING, shards=2, executor="processes"
+            )
+        shared = abstract_chase(
+            abstract, ORG_SETTING, shards=2, executor="processes"
+        )
+        assert piped.parent_timings.transport == "pickle"
+        assert shared.parent_timings.transport == (
+            "shm" if shm.available() else "pickle"
+        )
+        _assert_identical(piped, unsharded)
+        _assert_identical(shared, unsharded)
+        _assert_same_reuse(piped, shared)
 
     def test_failure_parity(self):
         source = AbstractInstance(
@@ -167,11 +180,8 @@ class TestWorkerCrash:
         # on the shared-memory wire path must not leak its task or
         # outcome segments — the parent's finally-sweep unlinks every
         # name it assigned, whether or not the worker ever published.
-        from repro.serialize import shm
-
         if not shm.available():  # pragma: no cover — no shm filesystem
             pytest.skip("platform has no shared-memory support")
-        monkeypatch.setenv("REPRO_SHM", "on")
         monkeypatch.setenv("REPRO_SHARD_CRASH", "1")
         shm_dir = "/dev/shm"
         can_list = os.path.isdir(shm_dir)

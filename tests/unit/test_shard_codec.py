@@ -134,8 +134,6 @@ class TestTaskMessage:
         task = shard_codec.ShardTask(
             shard=2,
             variant="standard",
-            engine="delta",
-            incremental=True,
             regions=regions,
             templates=tuple(abstract.templates),
             setting=employment_setting(),
@@ -145,8 +143,6 @@ class TestTaskMessage:
         )
         assert decoded.shard == 2
         assert decoded.variant == "standard"
-        assert decoded.engine == "delta"
-        assert decoded.incremental is True
         assert decoded.regions == regions
         assert AbstractInstance(decoded.templates) == abstract
 
@@ -302,6 +298,23 @@ class TestWireSafety:
     def test_bad_magic_rejected(self):
         with pytest.raises(SerializationError, match="magic"):
             shard_codec.decode_instance(b"NOPE" + b"\x00" * 64)
+
+    def test_previous_layout_magic_rejected(self):
+        # A TDX3 task still carried the engine and incremental slots;
+        # decoding one under the current layout must fail loudly.
+        abstract = semantics(employment_source_concrete())
+        payload = shard_codec.encode_shard_task(
+            shard_codec.ShardTask(
+                shard=0,
+                variant="standard",
+                regions=abstract.regions(),
+                templates=tuple(abstract.templates),
+                setting=employment_setting(),
+            )
+        )
+        assert payload[:4] != b"TDX3"
+        with pytest.raises(SerializationError, match="bad magic"):
+            shard_codec.decode_shard_task(b"TDX3" + payload[4:])
 
     def test_truncated_payload_rejected(self):
         payload = shard_codec.encode_instance(_mixed_instance())
