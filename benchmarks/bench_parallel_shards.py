@@ -2,19 +2,18 @@
 
 The region scheduler's ``threads`` executor is GIL-bound, so CPU-bound
 chases gain nothing from it; the ``processes`` executor ships each shard
-to a worker process in the shard-codec wire format and runs them truly
-in parallel.  These benchmarks compare the serial executor against a
-*warm* four-worker pool (pool startup is a one-time cost a server pays
-once, so it stays outside the timed region) on the largest
-``bench_scale_incremental`` workload.
+to a worker process as one pickled task (and each outcome back as one
+pickle) and runs them truly in parallel.  These benchmarks compare the
+serial executor against a *warm* four-worker pool (pool startup is a
+one-time cost a server pays once, so it stays outside the timed region)
+on the largest ``bench_scale_incremental`` workload.
 
 What to expect depends on the machine: the wall-clock win is bounded by
-the parent's serial share (task encode, outcome decode, merge concat —
-measured at roughly a third of the serial runtime) and by the CPU
-count.  On a
-single-core container the processes executor *loses* — the workers
-timeslice one core and the codec overhead is pure addition; the numbers
-are honest either way, and the summary emits the observed ratio.
+the parent's serial share (task pickling, outcome unpickling, merge
+concat) and by the CPU count.  On a single-core container the processes
+executor *loses* — the workers timeslice one core and the pickling is
+pure addition; the numbers are honest either way, and the summary emits
+the observed ratio.
 """
 
 import time
@@ -99,73 +98,37 @@ def test_parallel_speedup_summary(benchmark, abstract, pool):
 
 
 # ---------------------------------------------------------------------------
-# The parent's serial share: task encode + outcome decode + merge
+# The parent's serial share: task pickling + outcome unpickling + merge
 # ---------------------------------------------------------------------------
 #
 # Amdahl's bound for the processes executor: whatever the parent does
-# serially — encoding four shard tasks, decoding four outcomes, merging
-# — caps the speedup no matter how many workers chase.  This benchmark
-# times exactly that share, with the workers' compute done once outside
-# the timed region (the outcomes are byte payloads, so re-decoding them
-# is the real per-run parent cost).
-
-
-def _encode_tasks(abstract, blocks):
-    from repro.serialize import shard_codec
-    from repro.temporal.interval import Interval
-
-    payloads = []
-    for index, block in enumerate(blocks):
-        span = Interval(block[0].start, block[-1].end)
-        templates = tuple(
-            template
-            for template in abstract.templates
-            if template.interval.overlaps(span)
-        )
-        payloads.append(
-            shard_codec.encode_shard_task(
-                shard_codec.ShardTask(
-                    shard=index,
-                    variant="standard",
-                    regions=block,
-                    templates=templates,
-                    setting=ORG_SETTING,
-                )
-            )
-        )
-    return payloads
+# serially — pickling four shard tasks, unpickling four outcomes,
+# merging — caps the speedup no matter how many workers chase.  This
+# benchmark times exactly that share, with the workers' compute done
+# once outside the timed region (the outcomes are pickled bytes, so
+# re-unpickling them is the real per-run parent cost).  Like the merge,
+# it never reads the regions' targets and traces or the merged
+# templates: those stay pickled until someone asks.
 
 
 def test_parent_wire_share(benchmark, abstract):
     from repro.abstract_view.abstract_chase import (
-        _BlockOutcome,
         _merge,
+        _pack_tasks,
         _partition,
         _process_worker,
+        _unpack_outcome,
     )
-    from repro.serialize import shard_codec
 
     blocks = _partition(abstract.regions(), SHARDS)
-    payloads = _encode_tasks(abstract, blocks)
+    payloads = _pack_tasks(abstract, blocks, ORG_SETTING, "standard")
     # Worker compute, once, untimed: the timed region below replays only
     # the parent's wire work against these recorded outcome payloads.
     raw_outcomes = [_process_worker(payload) for payload in payloads]
 
     def parent_share():
-        _encode_tasks(abstract, blocks)
-        outcomes = []
-        for raw in raw_outcomes:
-            decoded = shard_codec.decode_shard_outcome(raw)
-            outcomes.append(
-                _BlockOutcome(
-                    results=list(decoded.results),
-                    region_reuse=decoded.region_reuse,
-                    error=decoded.error,
-                    report=decoded.report,
-                    merged_templates=decoded.merged_templates,
-                )
-            )
-        return _merge(outcomes)
+        _pack_tasks(abstract, blocks, ORG_SETTING, "standard")
+        return _merge([_unpack_outcome(raw) for raw in raw_outcomes])
 
     result = benchmark(parent_share)
     assert result.succeeded
@@ -215,7 +178,6 @@ def _smoke_main(argv=None) -> int:
         if args.executor == "processes"
         else nullcontext("threads")
     )
-    transport = "n/a"
     with pool_context as executor:
         # Warm the pool (fork + import cost is a one-time server expense).
         abstract_chase(abstract, ORG_SETTING, shards=args.workers, executor=executor)
@@ -235,12 +197,11 @@ def _smoke_main(argv=None) -> int:
         print("PARITY FAILURE: parallel target differs from serial")
         return 1
     ratio = min(serial_times) / min(parallel_times)
-    # The parent's serial share of the last parallel run: task encode,
-    # outcome decode, merge (only the processes executor reports it —
+    # The parent's serial share of the last parallel run: task pickling,
+    # outcome unpickling, merge (only the processes executor reports it —
     # Amdahl's cap on the speedup column).
     timings = parallel.parent_timings
     if timings is not None:
-        transport = timings.transport
         wire = (
             f"{timings.encode_seconds * 1000:.1f} / "
             f"{timings.decode_seconds * 1000:.1f} / "
@@ -260,7 +221,7 @@ def _smoke_main(argv=None) -> int:
                 handle.write(
                     "## Multi-core shard parity\n\n"
                     f"`--executor {args.executor} --workers {args.workers}` on "
-                    f"{os.cpu_count()} CPUs, wire transport `{transport}` — "
+                    f"{os.cpu_count()} CPUs — "
                     "outputs byte-identical to serial.\n\n"
                     "| serial | parallel | speedup | parent enc/dec/merge (ms) |\n"
                     "|---:|---:|---:|---:|\n"
@@ -271,8 +232,8 @@ def _smoke_main(argv=None) -> int:
         except OSError as exc:  # pragma: no cover - CI file-system hiccup
             print(f"(could not write GITHUB_STEP_SUMMARY: {exc})", file=sys.stderr)
     print(
-        "PARALLEL-SMOKE: executor=%s workers=%d transport=%s ratio=%.2f"
-        % (args.executor, args.workers, transport, ratio)
+        "PARALLEL-SMOKE: executor=%s workers=%d ratio=%.2f"
+        % (args.executor, args.workers, ratio)
     )
     return 0
 

@@ -35,6 +35,19 @@ def abstract_source():
     return employment_source_abstract()
 
 
+@pytest.hookimpl(optionalhook=True)
+def pytest_benchmark_update_json(config, benchmarks, output_json):
+    """Write statistics only: drop each benchmark's per-round timings.
+
+    ``stats.data`` is the raw list of every round's duration — about
+    97% of a ``--benchmark-json`` file — and ``compare_bench.py`` reads
+    only ``stats.min``, so the committed ``BENCH_*.json`` trail keeps
+    the summary statistics and nothing else.
+    """
+    for bench in output_json["benchmarks"]:
+        bench["stats"].pop("data", None)
+
+
 def emit(title: str, body: str) -> None:
     """Print a regenerated artifact in a recognizable block."""
     bar = "=" * 72

@@ -40,6 +40,7 @@ a failure on any snapshot means no solution exists.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from concurrent.futures import (
     BrokenExecutor,
@@ -48,14 +49,15 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import ChaseFailureError, InstanceError, ShardExecutionError
 from repro.abstract_view.abstract_instance import AbstractInstance, TemplateFact
 from repro.chase.incremental import IncrementalRegionChaser, RegionReuseStats
 from repro.chase.standard import ChaseVariant, SnapshotChaseResult
-from repro.chase.trace import FailureRecord
+from repro.chase.trace import ChaseTrace, FailureRecord
 from repro.dependencies.mapping import DataExchangeSetting
+from repro.relational.instance import Instance
 from repro.relational.terms import AnnotatedNull, LabeledNull
 from repro.temporal.interval import Interval
 
@@ -91,16 +93,13 @@ class ParentTimings:
     """The parent's serial wire share of one ``processes``-executor run.
 
     Amdahl's bound for the pool: whatever the parent does serially —
-    encoding and publishing the shard tasks, decoding the outcomes,
-    merging — caps the speedup no matter how many workers chase.
-    *transport* records which wire path ran (``"shm"`` segments or the
-    ``"pickle"`` pipe fallback).
+    pickling the shard tasks, unpickling the outcomes, merging — caps
+    the speedup no matter how many workers chase.
     """
 
     encode_seconds: float
     decode_seconds: float
     merge_seconds: float
-    transport: str
 
 
 @dataclass
@@ -223,6 +222,22 @@ def _chase_regions(
     return results, region_stats, None
 
 
+@dataclass(frozen=True)
+class ShardTask:
+    """Everything one worker process needs to chase one region block.
+
+    *templates* is the source restricted to the block's span — a
+    template is relevant iff its stamp overlaps the block, because block
+    regions are drawn from the canonical partition.
+    """
+
+    shard: int
+    variant: ChaseVariant
+    regions: tuple[Interval, ...]
+    templates: tuple[TemplateFact, ...]
+    setting: DataExchangeSetting
+
+
 @dataclass
 class _BlockOutcome:
     """One shard's finished block, as the merge consumes it.
@@ -239,7 +254,7 @@ class _BlockOutcome:
     region_reuse: dict[Interval, RegionReuseStats]
     error: ShardExecutionError | None
     report: ShardReport
-    merged_templates: Sequence[TemplateFact] | None = None
+    merged_templates: Iterable[TemplateFact] | None = None
 
 
 def _region_templates(
@@ -286,6 +301,80 @@ class _LazyRegionTemplates:
 
     def __iter__(self):
         return iter(_region_templates(self._region, self._result))
+
+
+class _Pickled:
+    """A nested pickle from a worker outcome, loaded on first read.
+
+    Iterable, so a shard's merged templates can sit in the deferred
+    :class:`AbstractInstance` as a piece; the regions' ``(target,
+    trace)`` pairs are read through :meth:`value`.
+    """
+
+    __slots__ = ("_payload", "_value")
+
+    def __init__(self, payload: bytes):
+        self._payload: bytes | None = payload
+        self._value = None
+
+    def value(self):
+        if self._payload is not None:
+            self._value = pickle.loads(self._payload)
+            self._payload = None
+        return self._value
+
+    def __iter__(self):
+        return iter(self.value())
+
+
+class _WireSnapshotResult(SnapshotChaseResult):
+    """A region result from a worker whose target and trace load lazily.
+
+    The parent's merge reads only ``failed`` and ``failure``, which
+    arrive eagerly; the target instance and the trace unpickle on first
+    access (tests, CLI ``--trace``, diagnostics), together with every
+    other region of the same shard.
+    """
+
+    def __init__(
+        self,
+        pairs: _Pickled,
+        index: int,
+        failed: bool,
+        failure: FailureRecord | None,
+    ) -> None:
+        self._pairs = pairs
+        self._index = index
+        self._target: Instance | None = None
+        self._trace: ChaseTrace | None = None
+        self.failed = failed
+        self.failure = failure
+
+    @property
+    def target(self) -> Instance:  # type: ignore[override]
+        if self._target is None:
+            self._target = Instance(self._pairs.value()[self._index][0])
+        return self._target
+
+    @target.setter
+    def target(self, value: Instance) -> None:
+        self._target = value
+
+    @property
+    def trace(self) -> ChaseTrace:  # type: ignore[override]
+        if self._trace is None:
+            self._trace = self._pairs.value()[self._index][1]
+        return self._trace
+
+    @trace.setter
+    def trace(self, value: ChaseTrace) -> None:
+        self._trace = value
+
+    def __reduce__(self):
+        return (
+            SnapshotChaseResult,
+            (self.target, self.failed, self.failure, self.trace),
+        )
 
 
 def _execute_block(
@@ -335,17 +424,51 @@ def _execute_block(
     )
 
 
-def _run_shard_task(task) -> bytes:
-    """Chase one decoded shard task in a worker process.
+def _pack_tasks(
+    source: AbstractInstance,
+    blocks: list[tuple[Interval, ...]],
+    setting: DataExchangeSetting,
+    variant: ChaseVariant,
+) -> list[bytes]:
+    """One pickled :class:`ShardTask` per block, in shard order.
+
+    Each task carries only the templates overlapping its block's span
+    (block regions come from the canonical partition, so overlap is
+    exactly "contributes to some block snapshot").
+    """
+    payloads: list[bytes] = []
+    for index, block in enumerate(blocks):
+        span = Interval(block[0].start, block[-1].end)
+        templates = tuple(
+            template
+            for template in source.templates
+            if template.interval.overlaps(span)
+        )
+        payloads.append(
+            pickle.dumps(
+                ShardTask(
+                    shard=index,
+                    variant=variant,
+                    regions=block,
+                    templates=templates,
+                    setting=setting,
+                ),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        )
+    return payloads
+
+
+def _process_worker(payload: bytes) -> bytes:
+    """Chase one pickled :class:`ShardTask` in a worker process.
 
     Rebuilds the shard's source slice, runs the block exactly as an
-    in-process shard would, and encodes the outcome — traces included —
-    for the parent.  ``REPRO_SHARD_CRASH=<shard>`` hard-kills the worker
-    before chasing; it exists so tests can exercise the worker-death
-    path deterministically.
+    in-process shard would, and pickles the outcome — traces included —
+    for the parent (:func:`_pack_outcome`).  ``REPRO_SHARD_CRASH=<shard>``
+    hard-kills the worker before chasing; it exists so tests can
+    exercise the worker-death path deterministically.
     """
-    from repro.serialize import shard_codec
-
+    task: ShardTask = pickle.loads(payload)
     crash = os.environ.get("REPRO_SHARD_CRASH")
     if crash is not None and crash == str(task.shard):
         os._exit(17)
@@ -353,51 +476,68 @@ def _run_shard_task(task) -> bytes:
         AbstractInstance(task.templates),
         task.regions,
         task.setting,
-        task.variant,  # type: ignore[arg-type]
+        task.variant,
         task.shard,
         remote=True,
     )
+    return _pack_outcome(outcome)
+
+
+def _pack_outcome(outcome: _BlockOutcome) -> bytes:
+    """One worker outcome as a pickle holding two nested pickles.
+
+    The eager part is what :func:`_merge` reads: per-region
+    ``(region, failed, failure)`` headers, the reuse stats, the report
+    and the error.  The regions' ``(target, trace)`` pairs and the
+    merged templates ride as nested pickles the parent loads only on
+    first read.  The pairs share one pickle, so facts and trace records
+    shared between consecutive regions stay shared after the trip.  A
+    target travels as its fact set: ``Instance`` pickling sorts every
+    bucket for a deterministic form, which the trip does not need and
+    which is a large part of this pickle's cost in the worker.
+    """
     assert outcome.merged_templates is not None
-    return shard_codec.encode_shard_outcome(
-        shard_codec.ShardOutcome(
-            results=tuple(outcome.results),
-            region_reuse=outcome.region_reuse,
-            error=outcome.error,
-            report=outcome.report,
-            merged_templates=outcome.merged_templates,
-        )
+    details = pickle.dumps(
+        tuple(
+            (result.target.facts(), result.trace)
+            for _, result in outcome.results
+        ),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    templates = pickle.dumps(
+        tuple(outcome.merged_templates), protocol=pickle.HIGHEST_PROTOCOL
+    )
+    headers = tuple(
+        (region, result.failed, result.failure)
+        for region, result in outcome.results
+    )
+    return pickle.dumps(
+        (
+            headers,
+            outcome.region_reuse,
+            outcome.report,
+            outcome.error,
+            details,
+            templates,
+        ),
+        protocol=pickle.HIGHEST_PROTOCOL,
     )
 
 
-def _process_worker(payload: bytes) -> bytes:
-    """Chase one :mod:`repro.serialize.shard_codec` task payload."""
-    from repro.serialize import shard_codec
-
-    return _run_shard_task(shard_codec.decode_shard_task(payload))
-
-
-def _process_worker_shm(task_name: str, outcome_name: str) -> str:
-    """Chase one shard whose task lives in a shared-memory segment.
-
-    The decode-free variant of :func:`_process_worker`: the future
-    carries only two segment *names*.  The worker maps the task segment
-    in place (nothing crosses the pool's pickle pipe), chases, and
-    publishes the encoded outcome under the parent-assigned name —
-    giving the registration away so the parent (which knows every name
-    it handed out) is the sole cleaner-upper.  Task-segment unlinking
-    stays with the parent: a worker killed at any point here leaks
-    nothing.
-    """
-    from repro.serialize import shard_codec, shm
-
-    segment = shm.attach(task_name)
-    try:
-        task = shard_codec.decode_shard_task(segment.buf)
-    finally:
-        segment.close()
-    shm.write(outcome_name, _run_shard_task(task))
-    shm.give_away(outcome_name)
-    return outcome_name
+def _unpack_outcome(raw: bytes) -> _BlockOutcome:
+    """The parent's side of :func:`_pack_outcome`: eager part only."""
+    headers, region_reuse, report, error, details, templates = pickle.loads(raw)
+    pairs = _Pickled(details)
+    return _BlockOutcome(
+        results=[
+            (region, _WireSnapshotResult(pairs, index, failed, failure))
+            for index, (region, failed, failure) in enumerate(headers)
+        ],
+        region_reuse=region_reuse,
+        error=error,
+        report=report,
+        merged_templates=_Pickled(templates),
+    )
 
 
 def _run_blocks_in_processes(
@@ -410,63 +550,23 @@ def _run_blocks_in_processes(
 ) -> tuple[list[_BlockOutcome], ParentTimings]:
     """Ship every block to a worker process and gather the outcomes.
 
-    Each task carries only the templates overlapping its block's span
-    (block regions come from the canonical partition, so overlap is
-    exactly "contributes to some block snapshot").  Where the platform
-    supports it (see :func:`repro.serialize.shm.available`),
-    tasks and outcomes travel through named shared-memory segments and
-    the pool's pickle pipe carries only segment names; otherwise the
-    payload bytes ride the pipe directly.  Either way the merged result
-    is byte-identical.  A worker that dies or raises before returning
-    yields an error outcome for its shard — a
-    :class:`ShardExecutionError` with the shard index and the executor's
-    exception chained — while every shard whose payload *did* come back
-    keeps its results and report, mirroring the in-process failure
-    contract.  On the shared-memory path the parent finally-sweeps every
-    segment name it assigned, so a crashed shard cannot leak
-    ``/dev/shm`` blocks.  One caveat: a single worker death breaks the
-    whole ``ProcessPoolExecutor`` (standard ``concurrent.futures``
-    semantics), so every still-pending shard's result is lost with it
-    and the merge reports the earliest such shard; which worker actually
-    died is not recoverable from ``BrokenProcessPool``, and a
-    caller-supplied pool is broken for the caller too and must be
-    recreated.
+    Tasks (:func:`_pack_tasks`) and outcomes (:func:`_pack_outcome`)
+    travel as pickled bytes over the pool's own pipe; the parent pickles
+    and unpickles them itself so :class:`ParentTimings` measures its
+    share.  A worker that dies or raises before returning yields an
+    error outcome for its shard — a :class:`ShardExecutionError` with
+    the shard index and the executor's exception chained — while every
+    shard whose outcome *did* come back keeps its results and report,
+    mirroring the in-process failure contract.  One caveat: a single
+    worker death breaks the whole ``ProcessPoolExecutor`` (standard
+    ``concurrent.futures`` semantics), so every still-pending shard's
+    result is lost with it and the merge reports the earliest such
+    shard; which worker actually died is not recoverable from
+    ``BrokenProcessPool``, and a caller-supplied pool is broken for the
+    caller too and must be recreated.
     """
-    from repro.serialize import shard_codec
-    from repro.serialize import shm as shm_transport
-
-    use_shm = shm_transport.available()
     encode_started = time.perf_counter()
-    payloads: list[bytes] = []
-    for index, block in enumerate(blocks):
-        span = Interval(block[0].start, block[-1].end)
-        templates = tuple(
-            template
-            for template in source.templates
-            if template.interval.overlaps(span)
-        )
-        payloads.append(
-            shard_codec.encode_shard_task(
-                shard_codec.ShardTask(
-                    shard=index,
-                    variant=variant,
-                    regions=block,
-                    templates=templates,
-                    setting=setting,
-                )
-            )
-        )
-    task_names: list[str] = []
-    outcome_names: list[str] = []
-    if use_shm:
-        # Every segment name is fixed before any worker runs: cleanup
-        # after a worker death is a sweep over known names.
-        run = shm_transport.new_run_id()
-        for index, payload in enumerate(payloads):
-            name = shm_transport.segment_name(run, index, "t")
-            shm_transport.write(name, payload)
-            task_names.append(name)
-            outcome_names.append(shm_transport.segment_name(run, index, "o"))
+    payloads = _pack_tasks(source, blocks, setting, variant)
     encode_seconds = time.perf_counter() - encode_started
 
     owned = pool is None
@@ -475,15 +575,7 @@ def _run_blocks_in_processes(
         pool = ProcessPoolExecutor(max_workers=min(limit, len(blocks)))
     assert pool is not None
     try:
-        if use_shm:
-            futures = [
-                pool.submit(_process_worker_shm, task, outcome)
-                for task, outcome in zip(task_names, outcome_names, strict=True)
-            ]
-        else:
-            futures = [
-                pool.submit(_process_worker, payload) for payload in payloads
-            ]
+        futures = [pool.submit(_process_worker, payload) for payload in payloads]
         outcomes: list[_BlockOutcome] = []
         decode_seconds = 0.0
         for index, future in enumerate(futures):
@@ -517,40 +609,15 @@ def _run_blocks_in_processes(
                 )
                 continue
             decode_started = time.perf_counter()
-            if use_shm:
-                # The worker returned its outcome segment's name; the
-                # decoder copies the flat sections out of the mapping,
-                # so the segment is released again before decode returns.
-                segment = shm_transport.attach(raw)
-                try:
-                    outcome = shard_codec.decode_shard_outcome(segment.buf)
-                finally:
-                    segment.close()
-                    shm_transport.unlink(raw)
-            else:
-                outcome = shard_codec.decode_shard_outcome(raw)
-            outcomes.append(
-                _BlockOutcome(
-                    results=list(outcome.results),
-                    region_reuse=outcome.region_reuse,
-                    error=outcome.error,
-                    report=outcome.report,
-                    merged_templates=outcome.merged_templates,
-                )
-            )
+            outcomes.append(_unpack_outcome(raw))
             decode_seconds += time.perf_counter() - decode_started
         timings = ParentTimings(
             encode_seconds=encode_seconds,
             decode_seconds=decode_seconds,
             merge_seconds=0.0,
-            transport="shm" if use_shm else "pickle",
         )
         return outcomes, timings
     finally:
-        for name in task_names:
-            shm_transport.unlink(name)
-        for name in outcome_names:
-            shm_transport.unlink(name)
         if owned:
             pool.shutdown()
 
@@ -576,15 +643,15 @@ def abstract_chase(
 
     ``"processes"`` is the only executor that runs CPU-bound shards in
     *parallel* (threads serialize on the GIL): each block ships to a
-    worker process as a compact :mod:`repro.serialize.shard_codec`
-    payload — the block's source slice and the exchange setting — and
-    the finished region results, traces and reports ship back the same
-    way, so the merged output is byte-identical on every executor.
-    *workers* bounds the pool size (default: one worker per block,
-    capped at the CPU count; it also caps the ``"threads"`` pool).
-    Passing a ``ProcessPoolExecutor`` instance reuses your warm pool
-    through the same wire path.  A worker that dies mid-block surfaces
-    as a :class:`ShardExecutionError` carrying the shard index.
+    worker process as one pickled :class:`ShardTask` — the block's
+    source slice and the exchange setting — and the finished region
+    results, traces and reports ship back as one pickle, so the merged
+    output is byte-identical on every executor.  *workers* bounds the
+    pool size (default: one worker per block, capped at the CPU count;
+    it also caps the ``"threads"`` pool).  Passing a
+    ``ProcessPoolExecutor`` instance reuses your warm pool through the
+    same wire path.  A worker that dies mid-block surfaces as a
+    :class:`ShardExecutionError` carrying the shard index.
 
     Each shard's chain of regions reuses the previous region's recorded
     chase wherever the snapshot diff permits: every block is its own
@@ -655,7 +722,7 @@ def _merge(outcomes: list[_BlockOutcome]) -> AbstractChaseResult:
     """
     reports = tuple(outcome.report for outcome in outcomes)
     # Pieces, not facts: each shard's contribution stays an opaque
-    # iterable (a wire-mapped section for remote blocks, a lazy
+    # iterable (a still-pickled section for remote blocks, a lazy
     # per-region view for in-process ones) until someone reads the
     # merged instance's template set.
     pieces: list[Iterable[TemplateFact]] = []

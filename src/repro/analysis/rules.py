@@ -231,7 +231,7 @@ _TRUSTED_MAKE_OWNERS = {"Fact", "ConcreteFact", "Interval", "TemplateFact"}
 
 #: Engine modules entitled to skip validation: they construct from
 #: values whose invariants hold *by construction* (match bindings,
-#: sweep-vetted cut points, wire-decoded canonical data).  Everything
+#: sweep-vetted cut points, region-annotated chase output).  Everything
 #: else goes through the validating constructors.
 TRUSTED_CALLER_ALLOWLIST = frozenset(
     {
@@ -246,7 +246,6 @@ TRUSTED_CALLER_ALLOWLIST = frozenset(
         "repro.chase.incremental",
         "repro.query.answers",
         "repro.query.eval",
-        "repro.serialize.shard_codec",
         "repro.abstract_view.abstract_instance",
         "repro.abstract_view.abstract_chase",
     }
@@ -607,16 +606,16 @@ class SharedMemoryLifecycleRule(Rule):
 # ---------------------------------------------------------------------------
 
 #: Modules whose output is persisted or crosses process boundaries
-#: (Skolem null names reach the shard wire, the cache and the spool).
+#: (Skolem null names reach the shard wire, the cache and the spool;
+#: the region scheduler builds the shard wire's pickles).
 _PERSIST_MODULES = frozenset(
     {
         "repro.chase.nulls",
-        "repro.serialize.shard_codec",
+        "repro.abstract_view.abstract_chase",
         "repro.serialize.digest",
         "repro.serialize.jsonio",
         "repro.serialize.csvio",
         "repro.serialize.render",
-        "repro.serialize.shm",
     }
 )
 _SIGNATURE_SINKS = {"record", "recall"}
@@ -628,7 +627,7 @@ class PersistedHashRule(Rule):
     """``hash()`` never flows into wire payloads or replay signatures.
 
     Python hashes are salted per process (PYTHONHASHSEED); a hash value
-    inside a shard-codec payload or a ``ReplayLedger`` signature
+    inside a shard wire payload or a ``ReplayLedger`` signature
     compares unequal on replay in another process, silently turning
     every replay into a cache miss (or worse, a false match under a
     fixed seed).  Use ``term_sort_key``/``sort_key()`` or a stable

@@ -548,7 +548,7 @@ def _add_scheduler_flags(command: argparse.ArgumentParser) -> None:
         default="serial",
         help="how sharded region blocks run: one at a time (default), a "
         "thread pool (GIL-bound), or a process pool (true parallelism; "
-        "shards travel in the shard-codec wire format)",
+        "shard tasks and results travel as pickles over the pool's pipe)",
     )
     command.add_argument(
         "--workers",

@@ -63,8 +63,8 @@ class ChaseFailureError(ReproError):
 class RemoteShardError(ReproError):
     """An exception raised inside a worker process of the ``processes``
     executor, carried across the process boundary as *(type name,
-    message)* — the original exception object cannot be shipped
-    faithfully, so this stand-in becomes the ``__cause__`` of the
+    message)* when the original exception object does not survive a
+    pickle round trip; this stand-in becomes the ``__cause__`` of the
     :class:`ShardExecutionError` the parent raises."""
 
     def __init__(self, exc_type: str, message: str):
@@ -83,8 +83,9 @@ class ShardExecutionError(ReproError):
     chase — no solution exists): this wraps an unexpected exception so
     the failing shard index and region interval are surfaced instead of
     the executor's bare first exception.  The original exception is
-    chained as ``__cause__``; exceptions that crossed a process boundary
-    arrive as :class:`RemoteShardError` stand-ins.  *stage* overrides
+    chained as ``__cause__``; an exception that crossed a process
+    boundary arrives as itself when it survives a pickle round trip and
+    as a :class:`RemoteShardError` stand-in otherwise.  *stage* overrides
     the context phrase for failures outside any region chase — the
     process executor uses it when a worker dies before returning a
     result.
@@ -123,12 +124,14 @@ class ShardExecutionError(ReproError):
     def __reduce__(self):
         # Exception.__reduce__ would replay our message string as the
         # shard argument; rebuild from the real fields instead, demoting
-        # an unpicklable cause to its RemoteShardError stand-in.
+        # a cause that does not survive a round trip (unpicklable, or an
+        # exception whose __init__ rejects its own args on load) to its
+        # RemoteShardError stand-in.
         import pickle
 
         cause = self.__cause__
         try:
-            pickle.dumps(cause)
+            pickle.loads(pickle.dumps(cause))
         except Exception:
             cause = RemoteShardError(type(cause).__name__, str(cause))
         return (type(self), (self.shard, self.region, cause, self.stage))

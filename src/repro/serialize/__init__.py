@@ -1,6 +1,5 @@
-"""Rendering (paper-figure layout), JSON/CSV serialization, and the
-binary shard-codec wire format of the process-pool region scheduler
-(:mod:`repro.serialize.shard_codec`)."""
+"""Rendering (paper-figure layout), JSON/CSV serialization and content
+digests."""
 
 from repro.serialize.csvio import (
     instance_from_csv_dict,
@@ -35,38 +34,7 @@ from repro.serialize.render import (
     render_table,
 )
 
-# The shard-codec names resolve lazily (PEP 562): shard_codec pulls in
-# the abstract-view and chase modules, which a CSV/JSON-only consumer of
-# this package should not pay for — and which must never import
-# repro.serialize eagerly themselves (the region scheduler imports the
-# codec inside the process-executor path for the same reason).
-_SHARD_CODEC_EXPORTS = frozenset(
-    {
-        "decode_abstract_instance",
-        "decode_instance",
-        "decode_setting",
-        "encode_abstract_instance",
-        "encode_instance",
-        "encode_setting",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _SHARD_CODEC_EXPORTS:
-        from repro.serialize import shard_codec
-
-        return getattr(shard_codec, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "decode_abstract_instance",
-    "decode_instance",
-    "decode_setting",
-    "encode_abstract_instance",
-    "encode_instance",
-    "encode_setting",
     "chase_request_digest",
     "instance_digest",
     "setting_digest",

@@ -12,7 +12,10 @@ Error discipline: anything wrong with the *request* is a 4xx —
 :class:`~repro.server.protocol.ProtocolError` carries its status,
 library :class:`~repro.errors.ReproError`\\ s (parse errors, schema
 violations) map to 400, an unknown session to 404, a failing chase to
-409.  Only a genuine server-side defect produces a 500.
+409.  Only a server-side fault produces a 500 — a defect, or a shard
+that raised or lost its worker process (a
+:class:`~repro.errors.ShardExecutionError`).  Malformed HTTP framing is
+a 400 or 431 on a connection that then closes.
 
 Every POST body is read through the versioned request envelope
 (``{"v": 1, ...}``; a body without ``"v"`` reads as v1 — see
@@ -45,7 +48,7 @@ import re
 import threading
 from typing import Any, Callable
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ShardExecutionError
 from repro.server.protocol import ProtocolError
 from repro.server.sessions import SessionManager
 
@@ -53,6 +56,9 @@ __all__ = ["ReproServer", "ServerThread", "serve"]
 
 #: Refuse request bodies beyond this size (64 MiB) with a 413.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Refuse request heads with more header lines than this with a 431
+#: (``http.client``'s own cap).
+MAX_HEADER_LINES = 100
 
 _REASONS = {
     200: "OK",
@@ -61,6 +67,7 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
@@ -170,7 +177,13 @@ class ReproServer:
     async def _handle_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
-        request_line = await reader.readline()
+        # readline raises ValueError for a line over the stream's limit
+        # (64 KiB); each framing error answers, then closes the connection.
+        try:
+            request_line = await reader.readline()
+        except ValueError:
+            await self._respond(writer, 400, {"error": "request line too long"})
+            return False
         if not request_line or not request_line.strip():
             return False
         try:
@@ -181,16 +194,29 @@ class ReproServer:
             await self._respond(writer, 400, {"error": "malformed request line"})
             return False
         headers: dict[str, str] = {}
+        lines = 0
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                await self._respond(writer, 431, {"error": "header line too long"})
+                return False
             if not line or line in (b"\r\n", b"\n"):
                 break
+            lines += 1
+            if lines > MAX_HEADER_LINES:
+                await self._respond(
+                    writer, 431, {"error": f"more than {MAX_HEADER_LINES} header lines"}
+                )
+                return False
             key, _, value = line.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             await self._respond(writer, 400, {"error": "bad Content-Length"})
             return False
         if length > MAX_BODY_BYTES:
@@ -246,6 +272,9 @@ class ReproServer:
             return 200, result if isinstance(result, dict) else {"result": result}
         except ProtocolError as exc:
             return exc.status, {"error": str(exc)}
+        except ShardExecutionError as exc:
+            # A shard that raised or lost its worker is not the client's fault.
+            return 500, {"error": str(exc)}
         except ReproError as exc:
             return 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - the 500 boundary

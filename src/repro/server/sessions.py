@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import pickle
 import threading
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -166,21 +167,28 @@ class SessionManager:
         if pool is not None:
             pool.shutdown()
 
-    def pool(self):
+    def pool(self) -> ProcessPoolExecutor:
         """The shared warm ``ProcessPoolExecutor``, created on first use.
 
         Per-daemon rather than per-request on purpose: process startup
         and module import dominate small sharded chases, so the whole
         point of a resident server is that every request after the
-        first finds the workers already up (PR 4's warm-pool detection
-        reuses the shard-codec wire path for user-supplied pools).
+        first finds the workers already up (``abstract_chase`` ships a
+        passed pool the same pickled shard tasks as its own).  A pool
+        broken by a dead worker is dropped (:meth:`_drop_pool`), so the
+        next call starts a fresh one.
         """
         with self._lock:
             if self._pool is None:
-                from concurrent.futures import ProcessPoolExecutor
-
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
             return self._pool
+
+    def _drop_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Forget *pool* after a worker death broke it, and shut it down."""
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=False)
 
     # -- session map -------------------------------------------------------
 
@@ -458,7 +466,10 @@ class SessionManager:
 
         ``executor="processes"`` reuses the daemon's shared
         :class:`ProcessPoolExecutor` (see :meth:`pool`), so repeated
-        requests never pay worker startup.
+        requests never pay worker startup.  A worker death breaks that
+        pool: this request fails with the
+        :class:`~repro.errors.ShardExecutionError`, and the pool is
+        dropped so the next request starts a fresh one.
         """
         if executor not in ("serial", "threads", "processes"):
             raise ProtocolError(f"unknown executor {executor!r}")
@@ -467,15 +478,22 @@ class SessionManager:
         session = self._get(name)
         from repro.abstract_view import abstract_chase, semantics
 
-        runner = self.pool() if executor == "processes" else executor
+        pool = self.pool() if executor == "processes" else None
         with session.lock:
-            result = abstract_chase(
-                semantics(session.source),
-                session.setting,
-                shards=shards,
-                executor=runner,
-            )
+            try:
+                result = abstract_chase(
+                    semantics(session.source),
+                    session.setting,
+                    shards=shards,
+                    executor=executor if pool is None else pool,
+                )
+            except BrokenExecutor:
+                if pool is not None:
+                    self._drop_pool(pool)
+                raise
         if result.error is not None:
+            if pool is not None and isinstance(result.error.__cause__, BrokenExecutor):
+                self._drop_pool(pool)
             raise result.error
         if result.failed:
             raise ProtocolError(f"chase failed: {result.failure}", status=409)

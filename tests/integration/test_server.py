@@ -8,10 +8,13 @@ would hit them.
 """
 
 import json
+import logging
+import socket
 import threading
 
 import pytest
 
+from repro.abstract_view import abstract_chase, semantics
 from repro.cli import main
 from repro.concrete import ConcreteInstance
 from repro.query import ConjunctiveQuery
@@ -307,6 +310,39 @@ class TestErrorMapping:
         assert err.value.status == 409
 
 
+class TestHttpFraming:
+    """Malformed framing answers a 4xx and closes the connection; the
+    daemon keeps serving and nothing escapes to the event loop."""
+
+    @pytest.mark.parametrize(
+        "head,status",
+        [
+            (b"POST /sessions HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+            (b"GET /healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", 431),
+        ],
+        ids=["negative-length", "long-request-line", "long-header-line", "101-headers"],
+    )
+    def test_framing_error_answers_and_closes(self, server, caplog, head, status):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+                sock.sendall(head)
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+            with ServerClient(port=server.port) as client:
+                assert client.healthz()["status"] == "ok"
+        assert "Unhandled exception" not in caplog.text
+
+    def test_hundred_headers_are_served(self, server):
+        head = b"GET /healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 100 + b"\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(head)
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+
+
 class TestAbstract:
     def test_sharded_abstract_chase(self, client):
         client.create("abs", ORG_SETTING_JSON, org_source_json(12))
@@ -315,6 +351,36 @@ class TestAbstract:
         assert result["templates"] > 0
         assert len(result["shards"]) == 2
         client.evict("abs")
+
+    def test_worker_death_fails_one_request_not_the_pool(self, monkeypatch):
+        with ServerThread(workers=2) as server, ServerClient(port=server.port) as client:
+            client.create("crash", ORG_SETTING_JSON, org_source_json(12))
+            # Workers inherit the hook when they fork: the next pool has it.
+            monkeypatch.setenv("REPRO_SHARD_CRASH", "1")
+            server.manager.close()
+            with pytest.raises(ClientError) as err:
+                client.abstract("crash", shards=2, executor="processes")
+            assert err.value.status == 500
+            assert "worker process died" in str(err.value)
+
+            monkeypatch.delenv("REPRO_SHARD_CRASH")
+            served = client.abstract("crash", shards=2, executor="processes")
+        expected = abstract_chase(
+            semantics(org_instance(12)), exchange_setting_org(), shards=2
+        )
+        totals = expected.reuse_totals()
+        assert (
+            served["regions"],
+            served["templates"],
+            served["replayed_matches"],
+            served["live_matches"],
+        ) == (
+            len(expected.region_results),
+            len(expected.unwrap().templates),
+            totals.replayed_matches,
+            totals.live_matches,
+        )
+        assert all(shard["remote"] for shard in served["shards"])
 
 
 class TestConcurrency:
