@@ -21,8 +21,9 @@
 #                        (stdlib-only; TDX001-TDX006, see docs/architecture.md)
 #   make serve         - run the resident chase daemon on $(SERVE_PORT)
 #                        (chase-as-a-service; see docs/server.md)
-#   make verify-server - the daemon's end-to-end suite + a short
-#                        throughput smoke over real HTTP
+#   make verify-server - the daemon's end-to-end suite + a 10 s
+#                        perfbench delta_churn run (fails if an output
+#                        check or the cache-defeat guard fails)
 #   make verify        - test + bench-smoke + verify-incremental + analyze
 #
 # CI (.github/workflows/ci.yml) runs exactly these targets — test and
@@ -82,7 +83,7 @@ serve:
 
 verify-server:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -q tests/integration/test_server.py
-	$(PYTHONPATH_SRC) $(PYTHON) benchmarks/bench_server.py --smoke --seconds 10
+	$(PYTHON) perfbench/run.py --workload delta_churn --seed 1 --seconds 10
 
 lint:
 	ruff check src tests benchmarks examples setup.py

@@ -15,7 +15,6 @@ from repro.concrete import (
     is_normalized,
     naive_normalize,
     normalize,
-    normalize_with_report,
 )
 from repro.serialize import render_concrete_instance
 from repro.temporal import Interval, interval
@@ -96,27 +95,3 @@ def test_fig06_scaled_naive(benchmark, spans):
     workload = overlapping_salary_history(people=2, spans=spans)
     normalized = benchmark(lambda: naive_normalize(workload.instance))
     assert len(normalized) >= len(workload.instance)
-
-
-@pytest.mark.parametrize("spans", (128, 256))
-def test_fig05_scaled_replay(benchmark, spans):
-    """Fragment-level incremental normalization on a churned history.
-
-    A first run records its :class:`NormalizationLog`; the timed run
-    normalizes a history where only person 0's jobs changed, so 7 of the
-    8 per-person groups (and their components' fragment plans) replay
-    with zero re-sorting.  Output is byte-identical to from-scratch.
-    """
-    conjunctions = [salary_conjunction()]
-    base = overlapping_salary_history(people=8, spans=spans)
-    _, recorded = normalize_with_report(
-        base.instance, conjunctions, record=True
-    )
-    churned = overlapping_salary_history(people=8, spans=spans, churn=spans // 4)
-    normalized, report = benchmark(
-        lambda: normalize_with_report(
-            churned.instance, conjunctions, previous=recorded.log
-        )
-    )
-    assert report.groups_replayed == 7
-    assert normalized == normalize(churned.instance, conjunctions)

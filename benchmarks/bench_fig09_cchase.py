@@ -67,26 +67,3 @@ def test_fig09_cchase_scaled(benchmark, spans):
     # One Emp row per normalized E fragment survives, so the solution
     # stays linear in the source despite the dense overlap groups.
     assert len(result.target) <= 6 * len(workload.instance)
-
-
-@pytest.mark.parametrize("spans", (128, 512))
-def test_fig09_cchase_incremental(benchmark, spans):
-    """The c-chase with fragment-level normalization replay.
-
-    A prior run on the unchurned history records its replay state; the
-    timed run chases a history where only person 0's jobs changed, so
-    every other person's source-side value-equivalence group replays its
-    recorded sweep.  Byte-identical to the from-scratch chase.
-    """
-    scaled_setting = employment_setting()
-    base = overlapping_salary_history(people=8, spans=spans)
-    first = c_chase(base.instance, scaled_setting, incremental=True)
-    assert first.succeeded
-    churned = overlapping_salary_history(people=8, spans=spans, churn=spans // 4)
-    result = benchmark(
-        lambda: c_chase(churned.instance, scaled_setting, incremental=first)
-    )
-    assert result.succeeded
-    source_report, _target_report = result.normalization_reports
-    assert source_report.groups_replayed == 7
-    assert result.target == c_chase(churned.instance, scaled_setting).target

@@ -17,8 +17,8 @@ on the org-chart domain:
   until their history shows up;
 * :meth:`~repro.events.EventLog.follow` turns each ingested batch into
   the :class:`~repro.deltas.SourceDelta` a live consumer applies, and
-  feeding those deltas through the incremental chase keeps a target
-  that is byte-identical to chasing the final snapshot from scratch.
+  chasing the source after each delta keeps a target that is
+  byte-identical to chasing the final snapshot from scratch.
 
 Run:  python examples/event_stream.py
 """
@@ -26,7 +26,6 @@ Run:  python examples/event_stream.py
 import json
 
 from repro import EventLog, c_chase
-from repro.chase.incremental import chase_source_delta
 from repro.concrete import ConcreteInstance
 from repro.serialize import concrete_instance_to_json
 from repro.workloads import (
@@ -71,19 +70,18 @@ def main() -> None:
     same = canonical(shuffled.snapshot_at(None)) == canonical(log.snapshot_at(None))
     print(f"reversed arrival order, byte-identical snapshot: {same}")
 
-    print("\n=== Following the log into an incremental chase ===")
+    print("\n=== Following the log into a live chase ===")
     setting = exchange_setting_org()
     batches = late_arrival_batches(events, batches=4, late_fraction=0.25, seed=7)
     live = EventLog(mapping)
     cursor = live.follow()
     source = ConcreteInstance()
-    state = None
     result = None
     for number, batch in enumerate(batches):
         batch_report = live.ingest(batch)
         delta = cursor.advance()
-        source, result = chase_source_delta(source, delta, setting, state=state)
-        state = result.replay_state
+        source = delta.applied_to(source)
+        result = c_chase(source, setting)
         print(
             f"batch {number}: {batch_report.accepted} events "
             f"({batch_report.out_of_order} behind the horizon, "

@@ -123,6 +123,22 @@ class AbstractChaseResult:
     def succeeded(self) -> bool:
         return not self.failed
 
+    def template_count(self) -> int:
+        """``len(self.unwrap().templates)`` without forcing the deferred merge.
+
+        Regions are disjoint and a region's templates are its target's
+        facts, stamped one to one, so the count is the sum of the region
+        targets' sizes.  A region chased in a worker process carries its
+        size in the eager header, so counting loads no nested pickle.
+        """
+        self.unwrap()
+        return sum(
+            result.size
+            if isinstance(result, _WireSnapshotResult)
+            else len(result.target)
+            for result in self.region_results.values()
+        )
+
     def reuse_totals(self) -> RegionReuseStats:
         """Cross-region reuse summed over every chased region."""
         totals = RegionReuseStats()
@@ -330,10 +346,12 @@ class _Pickled:
 class _WireSnapshotResult(SnapshotChaseResult):
     """A region result from a worker whose target and trace load lazily.
 
-    The parent's merge reads only ``failed`` and ``failure``, which
-    arrive eagerly; the target instance and the trace unpickle on first
-    access (tests, CLI ``--trace``, diagnostics), together with every
-    other region of the same shard.
+    The parent's merge reads only ``failed`` and ``failure``, and
+    :meth:`AbstractChaseResult.template_count` only ``size`` (the
+    target's fact count), all of which arrive eagerly; the target
+    instance and the trace unpickle on first access (tests, CLI
+    ``--trace``, diagnostics), together with every other region of the
+    same shard.
     """
 
     def __init__(
@@ -342,6 +360,7 @@ class _WireSnapshotResult(SnapshotChaseResult):
         index: int,
         failed: bool,
         failure: FailureRecord | None,
+        size: int,
     ) -> None:
         self._pairs = pairs
         self._index = index
@@ -349,6 +368,7 @@ class _WireSnapshotResult(SnapshotChaseResult):
         self._trace: ChaseTrace | None = None
         self.failed = failed
         self.failure = failure
+        self.size = size
 
     @property
     def target(self) -> Instance:  # type: ignore[override]
@@ -486,11 +506,11 @@ def _process_worker(payload: bytes) -> bytes:
 def _pack_outcome(outcome: _BlockOutcome) -> bytes:
     """One worker outcome as a pickle holding two nested pickles.
 
-    The eager part is what :func:`_merge` reads: per-region
-    ``(region, failed, failure)`` headers, the reuse stats, the report
-    and the error.  The regions' ``(target, trace)`` pairs and the
-    merged templates ride as nested pickles the parent loads only on
-    first read.  The pairs share one pickle, so facts and trace records
+    The eager part is what :func:`_merge` and the template count read:
+    per-region ``(region, failed, failure, size)`` headers, the reuse
+    stats, the report and the error.  The regions' ``(target, trace)``
+    pairs and the merged templates ride as nested pickles the parent
+    loads only on first read.  The pairs share one pickle, so facts and trace records
     shared between consecutive regions stay shared after the trip.  A
     target travels as its fact set: ``Instance`` pickling sorts every
     bucket for a deterministic form, which the trip does not need and
@@ -508,7 +528,7 @@ def _pack_outcome(outcome: _BlockOutcome) -> bytes:
         tuple(outcome.merged_templates), protocol=pickle.HIGHEST_PROTOCOL
     )
     headers = tuple(
-        (region, result.failed, result.failure)
+        (region, result.failed, result.failure, len(result.target))
         for region, result in outcome.results
     )
     return pickle.dumps(
@@ -530,8 +550,8 @@ def _unpack_outcome(raw: bytes) -> _BlockOutcome:
     pairs = _Pickled(details)
     return _BlockOutcome(
         results=[
-            (region, _WireSnapshotResult(pairs, index, failed, failure))
-            for index, (region, failed, failure) in enumerate(headers)
+            (region, _WireSnapshotResult(pairs, index, failed, failure, size))
+            for index, (region, failed, failure, size) in enumerate(headers)
         ],
         region_reuse=region_reuse,
         error=error,

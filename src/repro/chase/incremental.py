@@ -89,7 +89,6 @@ __all__ = [
     "IncrementalRegionChaser",
     "RegionReuseStats",
     "ReplayLedger",
-    "chase_source_delta",
 ]
 
 
@@ -103,14 +102,12 @@ class ReplayLedger:
     This class is the small shared mechanism behind that contract: each
     key stores ``(signature, payload)``, and :meth:`recall` hands the
     payload back only on an exact signature match, counting hits and
-    misses so callers can report replay coverage (the cross-region
-    chaser reports stream reuse through :class:`RegionReuseStats`; the
-    normalization engine reports group/component replay counts through
-    ``NormalizationReport``).
+    misses so callers can report replay coverage (the query layer's
+    answer ledger and its per-target normalization memo).
 
     Signatures are whatever equality-comparable value captures *all* the
-    input a decision depends on — a frozenset of group members, a tuple
-    of diff facts — chosen by the caller.  A ledger never expires
+    input a decision depends on — such as the frozenset of facts a query
+    disjunct reads — chosen by the caller.  A ledger never expires
     entries; one ledger represents one recorded run.
     """
 
@@ -140,7 +137,7 @@ class ReplayLedger:
     def counters(self) -> tuple[int, int]:
         """The cumulative ``(hits, misses)`` pair.
 
-        A ledger that persists across runs (``--norm-log`` chains, the
+        A ledger that persists across runs (``--query-log`` chains, the
         resident server's sessions) accumulates counters over its whole
         lifetime; callers that report *per-run* or *per-request* replay
         coverage take a mark before the run and difference it after with
@@ -1206,40 +1203,3 @@ class IncrementalRegionChaser:
             assignment,
             _FiringRecord(record, facts),
         )
-
-
-def chase_source_delta(
-    source,
-    delta,
-    setting: DataExchangeSetting,
-    *,
-    state=None,
-    **chase_kw,
-):
-    """Apply a :class:`~repro.deltas.SourceDelta` and re-chase, warm.
-
-    The delta entry point shared by the server's ``/delta``/``/events``
-    paths, the event-log examples, and scripts maintaining a target by
-    hand: strictly apply *delta* to a copy of *source* (the input is
-    never mutated), then run the concrete c-chase with *state* — a
-    :class:`~repro.concrete.cchase.CChaseReplayState` from a previous
-    result — attached, so every normalization group and query ledger
-    the delta left intact replays instead of recomputing.  Returns
-    ``(new_source, result)``; feed ``result.replay_state`` back in as
-    *state* on the next delta.
-
-    Extra keyword arguments pass through to
-    :func:`~repro.concrete.cchase.c_chase` unchanged.
-    """
-    # Imported lazily: repro.concrete imports this module at package
-    # import time, so a top-level import would be circular.
-    from repro.concrete.cchase import c_chase
-
-    new_source = delta.applied_to(source)
-    result = c_chase(
-        new_source,
-        setting,
-        incremental=state if state is not None else True,
-        **chase_kw,
-    )
-    return new_source, result

@@ -42,6 +42,10 @@ class ConstantClashError(ReproError):
         self.right = right
         super().__init__(f"cannot equate distinct constants {left} and {right}")
 
+    def __reduce__(self):
+        # Exception.__reduce__ would replay only the message string.
+        return (type(self), (self.left, self.right))
+
 
 class AnnotationMismatchError(ReproError):
     """Two annotated nulls with different annotations were equated.
@@ -58,6 +62,9 @@ class AnnotationMismatchError(ReproError):
             "egd c-chase step on un-normalized instance: "
             f"{left} vs {right} carry different annotations"
         )
+
+    def __reduce__(self):
+        return (type(self), (self.left, self.right))
 
 
 class TermUnionFind:

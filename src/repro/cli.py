@@ -26,7 +26,7 @@ import os
 import sys
 from pathlib import Path
 
-from repro.concrete import CChaseReplayState, c_chase, naive_normalize, normalize
+from repro.concrete import c_chase, naive_normalize, normalize
 from repro.correspondence import verify_correspondence
 from repro.errors import ReproError
 from repro.query import (
@@ -41,13 +41,7 @@ from repro.serialize import (
     render_concrete_instance,
     setting_from_json,
 )
-from repro.state import (
-    StateError,
-    load_chase_state,
-    load_query_log,
-    save_chase_state,
-    save_query_log,
-)
+from repro.state import StateError, load_query_log, save_query_log
 
 __all__ = ["main", "build_parser"]
 
@@ -67,23 +61,8 @@ def _load_setting(path: str):
     return setting_from_json(_load_json(path))
 
 
-# The state round-trip lives in repro.state (shared with the resident
-# server, so the two persistence paths cannot drift); the CLI's only
-# added behavior is turning a StateError into the usual SystemExit.
-
-
-def _load_norm_log(path: str) -> "CChaseReplayState | bool":
-    try:
-        return load_chase_state(path)
-    except StateError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-
-
-def _save_norm_log(path: str, state: CChaseReplayState | None) -> None:
-    try:
-        save_chase_state(path, state)
-    except StateError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+# The query-log round-trip lives in repro.state; the CLI's only added
+# behavior is turning a StateError into the usual SystemExit.
 
 
 def _load_query_log(path: str) -> QueryLog:
@@ -137,7 +116,6 @@ def _cmd_chase(args: argparse.Namespace) -> int:
             ("--pretty", args.pretty),
             ("--coalesce", args.coalesce),
             ("--normalization", args.normalization != "conjunction"),
-            ("--norm-log", bool(args.norm_log)),
         ):
             if given:
                 raise SystemExit(
@@ -183,22 +161,13 @@ def _cmd_chase(args: argparse.Namespace) -> int:
                 f"error: {flag} configures the abstract chase's region "
                 "scheduler; add --via abstract to use it"
             )
-    if args.norm_log and args.normalization == "naive":
-        raise SystemExit(
-            "error: --norm-log records Algorithm 1's group decisions; "
-            "the naive normalization has none to replay "
-            "(drop --norm-log or use --normalization conjunction)"
-        )
     result = c_chase(
         source,
         setting,
         normalization=args.normalization,
         variant=args.variant,
         coalesce_result=args.coalesce,
-        incremental=_load_norm_log(args.norm_log) if args.norm_log else None,
     )
-    if args.norm_log:
-        _save_norm_log(args.norm_log, result.replay_state)
     if result.failed:
         print(f"chase failed: {result.failure}", file=sys.stderr)
         return 1
@@ -266,10 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shards=args.shards,
         executor=args.executor,
         workers=args.workers,
-        cchase_incremental=_load_norm_log(args.norm_log) if args.norm_log else None,
     )
-    if args.norm_log:
-        _save_norm_log(args.norm_log, report.concrete_result.replay_state)
     if args.shards > 1:
         _print_shard_reports(report.abstract_result)
     if report.both_failed:
@@ -557,15 +523,6 @@ def _add_scheduler_flags(command: argparse.ArgumentParser) -> None:
         help="pool size for --executor threads/processes "
         "(default: one per shard, processes capped at the CPU count)",
     )
-    command.add_argument(
-        "--norm-log",
-        metavar="FILE",
-        help="persist the c-chase's fragment-level normalization replay "
-        "state: when FILE exists it seeds replay of unchanged "
-        "value-equivalence groups, and the run's state is written back "
-        "(a pickle — only load files this tool wrote for you; "
-        "concrete c-chase with Algorithm 1 normalization only)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -621,10 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--query-log",
         metavar="FILE",
-        help="query replay chain: replay the recorded log here (chase "
-        "state, normalization plans and per-disjunct answers; if present) "
-        "and write this run's state back.  Pickle format — only reuse "
-        "files this tool wrote",
+        help="query replay chain: replay the per-disjunct answers recorded "
+        "here (if present) and write this run's log back.  Pickle format — "
+        "only reuse files this tool wrote",
     )
     query.set_defaults(handler=_cmd_query)
 
@@ -658,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot-dir",
         metavar="DIR",
         help="spool directory for session snapshot/load "
-        "(pickles — treat it like the CLI's --norm-log files)",
+        "(pickles — treat it like the CLI's --query-log files)",
     )
     server.add_argument(
         "--cache-entries",

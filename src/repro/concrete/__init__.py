@@ -1,10 +1,9 @@
 """The concrete view: interval-stamped instances, normalization, c-chase."""
 
-from repro.concrete.cchase import CChaseReplayState, CChaseResult, c_chase
+from repro.concrete.cchase import CChaseResult, c_chase
 from repro.concrete.concrete_fact import ConcreteFact, concrete_fact
 from repro.concrete.concrete_instance import ConcreteInstance
 from repro.concrete.normalization import (
-    NormalizationLog,
     NormalizationReport,
     NormalizationViolation,
     find_temporal_assignments,
@@ -19,13 +18,11 @@ from repro.concrete.normalization import (
 )
 
 __all__ = [
-    "CChaseReplayState",
     "CChaseResult",
     "c_chase",
     "ConcreteFact",
     "concrete_fact",
     "ConcreteInstance",
-    "NormalizationLog",
     "NormalizationReport",
     "NormalizationViolation",
     "find_temporal_assignments",

@@ -57,7 +57,6 @@ from repro.chase.trace import (
 from repro.concrete.concrete_fact import ConcreteFact
 from repro.concrete.concrete_instance import ConcreteInstance
 from repro.concrete.normalization import (
-    NormalizationLog,
     NormalizationReport,
     _lift_atoms,
     find_temporal_assignments,
@@ -72,29 +71,10 @@ from repro.relational.formulas import Atom
 from repro.relational.homomorphism import has_homomorphism
 from repro.relational.terms import AnnotatedNull, GroundTerm, Variable
 
-__all__ = ["CChaseResult", "CChaseReplayState", "c_chase", "NormalizationMode"]
+__all__ = ["CChaseResult", "c_chase", "NormalizationMode"]
 
 NormalizationMode = Literal["conjunction", "naive"]
 TgdVariant = Literal["standard", "oblivious"]
-
-
-@dataclass
-class CChaseReplayState:
-    """The replayable normalization decisions of one c-chase run.
-
-    One :class:`~repro.concrete.normalization.NormalizationLog` per
-    normalization stage — the source normalization w.r.t. the lhs of
-    ``Σ+st`` and the target normalization w.r.t. the lhs of ``Σ+eg``.  A
-    later :func:`c_chase` over an overlapping source hands the state
-    back as ``incremental=`` and every unchanged value-equivalence group
-    (and every unchanged component's fragment plan) replays without
-    re-sorting; outputs are byte-identical to a from-scratch run.  The
-    state pickles, which is how the CLI persists it between invocations
-    (``repro chase --norm-log``).
-    """
-
-    source: NormalizationLog | None = None
-    target: NormalizationLog | None = None
 
 
 @dataclass
@@ -114,11 +94,8 @@ class CChaseResult:
     normalized_source: ConcreteInstance = field(default_factory=ConcreteInstance)
     pre_egd_target: ConcreteInstance = field(default_factory=ConcreteInstance)
     # Populated for normalization="conjunction": the two stages' reports
-    # (source w.r.t. Σ+st, target w.r.t. Σ+eg), and — when the run was
-    # asked to record (incremental= anything but None/False) — the
-    # replayable state for the next run.
+    # (source w.r.t. Σ+st, target w.r.t. Σ+eg).
     normalization_reports: tuple[NormalizationReport, NormalizationReport] | None = None
-    replay_state: CChaseReplayState | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -138,14 +115,10 @@ def _normalize(
     instance: ConcreteInstance,
     conjunctions,
     mode: NormalizationMode,
-    previous: NormalizationLog | None = None,
-    record: bool = False,
 ) -> tuple[ConcreteInstance, NormalizationReport | None]:
     if mode == "naive":
         return naive_normalize(instance), None
-    return normalize_with_report(
-        instance, conjunctions, previous=previous, record=record
-    )
+    return normalize_with_report(instance, conjunctions)
 
 
 def _lift_rhs(tgd: SourceToTargetTGD, tvar: Variable) -> tuple[Atom, ...]:
@@ -370,7 +343,6 @@ def c_chase(
     normalization: NormalizationMode = "conjunction",
     variant: TgdVariant = "standard",
     coalesce_result: bool = False,
-    incremental: "CChaseResult | CChaseReplayState | bool | None" = None,
 ) -> CChaseResult:
     """Run the c-chase of Definition 16 on a concrete source instance.
 
@@ -389,52 +361,19 @@ def c_chase(
     coalesce_result:
         When ``True``, value-equivalent adjacent fragments of the solution
         are merged before returning (the semantics is unchanged).
-    incremental:
-        Fragment-level normalization replay across successive runs.
-        ``True`` records this run's :class:`CChaseReplayState` (on
-        ``result.replay_state``) without replaying anything; a previous
-        run's :class:`CChaseResult` or :class:`CChaseReplayState`
-        replays every unchanged value-equivalence group and fragment
-        plan *and* records the new state.  Outputs are byte-identical to
-        a from-scratch run; only ``normalization="conjunction"`` stages
-        participate.  ``None``/``False`` (default) turns recording off.
     """
     trace = ChaseTrace()
-
-    record = incremental is not None and incremental is not False
-    state: CChaseReplayState | None = None
-    if isinstance(incremental, CChaseResult):
-        state = incremental.replay_state
-    elif isinstance(incremental, CChaseReplayState):
-        state = incremental
-
     normalized_source, source_report = _normalize(
-        source,
-        setting.lifted_st_lhs_conjunctions(),
-        normalization,
-        previous=state.source if state is not None else None,
-        record=record,
+        source, setting.lifted_st_lhs_conjunctions(), normalization
     )
     target = ConcreteInstance()
     _run_st_phase(normalized_source, target, setting, variant, trace)
     pre_egd_target, target_report = _normalize(
-        target,
-        setting.lifted_egd_lhs_conjunctions(),
-        normalization,
-        previous=state.target if state is not None else None,
-        record=record,
+        target, setting.lifted_egd_lhs_conjunctions(), normalization
     )
     reports = (
         (source_report, target_report)
         if source_report is not None and target_report is not None
-        else None
-    )
-    replay_state = (
-        CChaseReplayState(
-            source=source_report.log if source_report is not None else None,
-            target=target_report.log if target_report is not None else None,
-        )
-        if record
         else None
     )
     final, failure = _run_egd_phase(
@@ -449,7 +388,6 @@ def c_chase(
             normalized_source=normalized_source,
             pre_egd_target=pre_egd_target,
             normalization_reports=reports,
-            replay_state=replay_state,
         )
     if coalesce_result:
         final = final.coalesce()
@@ -459,5 +397,4 @@ def c_chase(
         normalized_source=normalized_source,
         pre_egd_target=pre_egd_target,
         normalization_reports=reports,
-        replay_state=replay_state,
     )

@@ -38,24 +38,15 @@ enumeration derived in ``O(g²)``.  ``NormalizationReport.matched_sets``
 counts **overlap sets** (the transitively-overlapping clusters, which is
 what the paper's ``S`` collects) while ``matched_pairs`` reconstructs
 the historical per-match count exactly — see the report's docstring.
-
-A :class:`NormalizationLog` records every group's sweep outcome and
-every component's fragment decisions; a later run on an overlapping
-source hands the log back as ``previous=`` and every group whose member
-facts are unchanged replays its recorded decisions with zero re-sorting
-(the fragment-level mirror of the cross-region replay contract in
-:mod:`repro.chase.incremental`, built on the same
-:class:`~repro.chase.incremental.ReplayLedger`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import FormulaError
-from repro.chase.incremental import ReplayLedger
 from repro.concrete.concrete_fact import ConcreteFact
 from repro.concrete.concrete_instance import ConcreteInstance
 from repro.relational.formulas import Atom, TemporalConjunction
@@ -80,7 +71,6 @@ __all__ = [
     "find_violation",
     "has_empty_intersection_property",
     "is_normalized",
-    "NormalizationLog",
     "NormalizationReport",
     "normalize_with_report",
     "normalize",
@@ -315,11 +305,9 @@ class NormalizationReport:
     included — without enumerating pairs (the sweep counts them in
     ``O(g log g)``).
 
-    ``groups``/``groups_replayed``/``components_replayed`` account for
-    fragment-level incremental replay: how many two-atom groups were
-    seen, how many replayed a :class:`NormalizationLog` decision
-    unchanged, and how many components reused their recorded fragment
-    plan.
+    ``groups`` counts the two-atom value-equivalence groups swept.
+    ``groups_replayed`` is always 0: every run sweeps every group, and
+    the field stays for report readers that show a replayed share.
     """
 
     input_size: int
@@ -331,8 +319,6 @@ class NormalizationReport:
     fragments_created: int = 0
     groups: int = 0
     groups_replayed: int = 0
-    components_replayed: int = 0
-    log: "NormalizationLog | None" = field(default=None, repr=False)
 
     @property
     def blowup(self) -> float:
@@ -340,34 +326,6 @@ class NormalizationReport:
         if self.input_size == 0:
             return 1.0
         return self.output_size / self.input_size
-
-
-@dataclass
-class NormalizationLog:
-    """Recorded group→fragment decisions of one normalization run.
-
-    Two ledgers (see :class:`~repro.chase.incremental.ReplayLedger`):
-
-    * ``groups`` — key ``(conjunction index, join key)``, signature the
-      frozenset of the group's member facts, payload the sweep outcome
-      ``(kind, chains, sets, pairs)`` where *chains* are the fact chains
-      to feed the union-find;
-    * ``components`` — key and signature both the frozenset of a
-      component's members, payload the fragment plan
-      ``(planned, fragmented, created)``.
-
-    Replay is value-based: facts recorded in a previous run compare and
-    hash equal to the current run's facts, so recorded decisions apply
-    directly to the new instance.  A log only replays against the exact
-    conjunction list it was recorded for (checked by equality); the
-    generic non-two-atom shapes always re-enumerate live, mirroring the
-    cross-region replay's "shapes the patcher does not understand run
-    live" rule.
-    """
-
-    conjunctions: tuple[TemporalConjunction, ...]
-    groups: ReplayLedger = field(default_factory=ReplayLedger)
-    components: ReplayLedger = field(default_factory=ReplayLedger)
 
 
 def _build_pair_groups(
@@ -426,62 +384,41 @@ def _sweep_two_atom(
     instance: ConcreteInstance,
     lifted_atoms: tuple[Atom, ...],
     plan,
-    conj_index: int,
     union_find: _FactUnionFind,
     report: NormalizationReport,
-    replay: "NormalizationLog | None",
-    log: "NormalizationLog | None",
 ) -> None:
     """Endpoint-sweep overlap discovery for a two-atom decoupled form.
 
     Per group, one ``O(g log g)`` sweep yields the overlap clusters
     (chained into the union-find — the same components the per-pair
     enumeration merges) and both report counts.
-    Groups whose member set matches a recorded :class:`NormalizationLog`
-    entry replay the recorded chains and counts without sorting anything.
     """
     register = union_find._parent.setdefault
     union = union_find.union
     symmetric, groups = _build_pair_groups(instance, lifted_atoms, plan)
     if symmetric:
-        for key, members in groups.items():
+        for members in groups.values():
             report.groups += 1
-            # The signature frozenset only exists for the log paths; the
-            # plain run never pays for it.
-            signature = (
-                frozenset(members)
-                if replay is not None or log is not None
-                else None
-            )
-            payload = (
-                replay.groups.recall((conj_index, key), signature)
-                if replay is not None
-                else None
-            )
-            if payload is None:
-                count = len(members)
-                if count == 1:
-                    # A lone member only self-matches: one overlap set.
-                    payload = ((), 1, 0)
-                elif count == 2:
-                    first, second = members
-                    if first.interval.overlaps(second.interval):
-                        payload = (((first, second),), 1, 1)
-                    else:
-                        payload = ((), 2, 0)
+            count = len(members)
+            if count == 1:
+                # A lone member only self-matches: one overlap set.
+                chains, sets, pairs = (), 1, 0
+            elif count == 2:
+                first, second = members
+                if first.interval.overlaps(second.interval):
+                    chains, sets, pairs = ((first, second),), 1, 1
                 else:
-                    clusters, pairs = sweep_overlap_clusters(
-                        [item.interval for item in members]
-                    )
-                    chains = tuple(
-                        tuple(members[index] for index in cluster)
-                        for cluster in clusters
-                        if len(cluster) > 1
-                    )
-                    payload = (chains, len(clusters), pairs)
+                    chains, sets, pairs = (), 2, 0
             else:
-                report.groups_replayed += 1
-            chains, sets, pairs = payload
+                clusters, pairs = sweep_overlap_clusters(
+                    [item.interval for item in members]
+                )
+                chains = tuple(
+                    tuple(members[index] for index in cluster)
+                    for cluster in clusters
+                    if len(cluster) > 1
+                )
+                sets = len(clusters)
             # Every member self-matches (both atoms onto one fact), so
             # the whole group registers up front.
             for item in members:
@@ -491,93 +428,75 @@ def _sweep_two_atom(
                 for item in chain[1:]:
                     union(base, item)
             report.matched_sets += sets
-            report.matched_pairs += len(members) + 2 * pairs
-            if log is not None:
-                log.groups.record((conj_index, key), signature, payload)
+            report.matched_pairs += count + 2 * pairs
         return
-    for key, (firsts, seconds) in groups.items():
+    for firsts, seconds in groups.values():
         if not firsts:
             continue
         report.groups += 1
-        signature = (
-            frozenset(firsts).union(seconds)
-            if replay is not None or log is not None
-            else None
-        )
-        payload = (
-            replay.groups.recall((conj_index, key), signature)
-            if replay is not None
-            else None
-        )
-        if payload is None:
-            if len(firsts) == 1 or len(seconds) == 1:
-                # Star shape: the lone fact is every edge's endpoint, so
-                # all its overlap partners form one component with it.
-                if len(firsts) == 1:
-                    center, others = firsts[0], seconds
-                else:
-                    center, others = seconds[0], firsts
-                stamp = center.interval
-                start, end = stamp.start, stamp.end
-                chain = [center]
-                for item in others:
-                    other_stamp = item.interval
-                    if other_stamp.start < end and start < other_stamp.end:
-                        chain.append(item)
-                pairs = len(chain) - 1
-                if pairs:
-                    payload = ((tuple(chain),), 1, pairs)
-                else:
-                    payload = ((), 0, 0)
-            elif len(firsts) * len(seconds) <= 16:
-                # Tiny group: enumerate the few cross edges and merge
-                # component lists directly — same components as the
-                # sweep, without its event machinery (chain order is
-                # irrelevant to the union-find and the counts).
-                comp_of: dict[ConcreteFact, list[ConcreteFact]] = {}
-                comps: list[list[ConcreteFact]] = []
-                pairs = 0
-                for first in firsts:
-                    stamp = first.interval
-                    start, end = stamp.start, stamp.end
-                    for second in seconds:
-                        other_stamp = second.interval
-                        if not (other_stamp.start < end and start < other_stamp.end):
-                            continue
-                        pairs += 1
-                        first_comp = comp_of.get(first)
-                        second_comp = comp_of.get(second)
-                        if first_comp is None and second_comp is None:
-                            comp = [first] if first is second else [first, second]
-                            comps.append(comp)
-                            comp_of[first] = comp_of[second] = comp
-                        elif first_comp is None:
-                            second_comp.append(first)
-                            comp_of[first] = second_comp
-                        elif second_comp is None:
-                            first_comp.append(second)
-                            comp_of[second] = first_comp
-                        elif first_comp is not second_comp:
-                            first_comp.extend(second_comp)
-                            for member in second_comp:
-                                comp_of[member] = first_comp
-                            second_comp.clear()
-                chains = tuple(tuple(comp) for comp in comps if comp)
-                payload = (chains, len(chains), pairs)
+        if len(firsts) == 1 or len(seconds) == 1:
+            # Star shape: the lone fact is every edge's endpoint, so
+            # all its overlap partners form one component with it.
+            if len(firsts) == 1:
+                center, others = firsts[0], seconds
             else:
-                clusters, pairs = sweep_bipartite_clusters(
-                    [item.interval for item in firsts],
-                    [item.interval for item in seconds],
-                )
-                chains = tuple(
-                    tuple(firsts[index] for index in left_ids)
-                    + tuple(seconds[index] for index in right_ids)
-                    for left_ids, right_ids in clusters
-                )
-                payload = (chains, len(clusters), pairs)
+                center, others = seconds[0], firsts
+            stamp = center.interval
+            start, end = stamp.start, stamp.end
+            chain = [center]
+            for item in others:
+                other_stamp = item.interval
+                if other_stamp.start < end and start < other_stamp.end:
+                    chain.append(item)
+            pairs = len(chain) - 1
+            chains = (tuple(chain),) if pairs else ()
+            sets = 1 if pairs else 0
+        elif len(firsts) * len(seconds) <= 16:
+            # Tiny group: enumerate the few cross edges and merge
+            # component lists directly — same components as the
+            # sweep, without its event machinery (chain order is
+            # irrelevant to the union-find and the counts).
+            comp_of: dict[ConcreteFact, list[ConcreteFact]] = {}
+            comps: list[list[ConcreteFact]] = []
+            pairs = 0
+            for first in firsts:
+                stamp = first.interval
+                start, end = stamp.start, stamp.end
+                for second in seconds:
+                    other_stamp = second.interval
+                    if not (other_stamp.start < end and start < other_stamp.end):
+                        continue
+                    pairs += 1
+                    first_comp = comp_of.get(first)
+                    second_comp = comp_of.get(second)
+                    if first_comp is None and second_comp is None:
+                        comp = [first] if first is second else [first, second]
+                        comps.append(comp)
+                        comp_of[first] = comp_of[second] = comp
+                    elif first_comp is None:
+                        second_comp.append(first)
+                        comp_of[first] = second_comp
+                    elif second_comp is None:
+                        first_comp.append(second)
+                        comp_of[second] = first_comp
+                    elif first_comp is not second_comp:
+                        first_comp.extend(second_comp)
+                        for member in second_comp:
+                            comp_of[member] = first_comp
+                        second_comp.clear()
+            chains = tuple(tuple(comp) for comp in comps if comp)
+            sets = len(chains)
         else:
-            report.groups_replayed += 1
-        chains, sets, pairs = payload
+            clusters, pairs = sweep_bipartite_clusters(
+                [item.interval for item in firsts],
+                [item.interval for item in seconds],
+            )
+            chains = tuple(
+                tuple(firsts[index] for index in left_ids)
+                + tuple(seconds[index] for index in right_ids)
+                for left_ids, right_ids in clusters
+            )
+            sets = len(clusters)
         # Only facts witnessing a cross-side overlap match (a component
         # with one member has no edge): register exactly those.
         for chain in chains:
@@ -587,8 +506,6 @@ def _sweep_two_atom(
                 union(base, item)
         report.matched_sets += sets
         report.matched_pairs += pairs
-        if log is not None:
-            log.groups.record((conj_index, key), signature, payload)
 
 
 def _interior_cuts(
@@ -607,10 +524,7 @@ def _interior_cuts(
 
 
 def _plan_fragments(
-    union_find: _FactUnionFind,
-    report: NormalizationReport,
-    replay: "NormalizationLog | None",
-    log: "NormalizationLog | None",
+    union_find: _FactUnionFind, report: NormalizationReport
 ) -> list[tuple[ConcreteFact, tuple[ConcreteFact, ...]]]:
     """Stage 3: fragment every component at its interior endpoints.
 
@@ -619,68 +533,40 @@ def _plan_fragments(
     search and fragments through the trusted
     :meth:`~repro.concrete.concrete_fact.ConcreteFact.fragment_sorted`
     path — ``O(m log m)`` per component instead of the historical
-    every-point-against-every-fact filter.  Components whose member set
-    matches a recorded log entry reuse the recorded fragment plan
-    outright (the fragment objects are immutable values).
+    every-point-against-every-fact filter.
     """
     planned: list[tuple[ConcreteFact, tuple[ConcreteFact, ...]]] = []
     for members in union_find.components():
         report.components += 1
-        signature = (
-            frozenset(members)
-            if replay is not None or log is not None
-            else None
-        )
-        payload = (
-            replay.components.recall(signature, signature)
-            if replay is not None
-            else None
-        )
-        if payload is None:
-            finite: set[int] = set()
-            unbounded = False
-            for item in members:
-                stamp = item.interval
-                finite.add(stamp.start)
-                end = stamp.end
-                if isinstance(end, Infinity):
-                    unbounded = True
-                else:
-                    finite.add(end)
-            if len(finite) + (1 if unbounded else 0) == 2:
-                # Every member carries the same stamp (two endpoints
-                # total): no point can fall strictly inside.
-                payload = ((), 0, 0)
+        finite: set[int] = set()
+        unbounded = False
+        for item in members:
+            stamp = item.interval
+            finite.add(stamp.start)
+            end = stamp.end
+            if isinstance(end, Infinity):
+                unbounded = True
             else:
-                cuts = sorted(finite)
-                plan_items: list[tuple[ConcreteFact, tuple[ConcreteFact, ...]]] = []
-                fragmented = 0
-                created = 0
-                for item in members:
-                    interior = _interior_cuts(cuts, item.interval)
-                    if not interior:
-                        continue
-                    fragments = item.fragment_sorted(interior)
-                    fragmented += 1
-                    created += len(fragments)
-                    plan_items.append((item, fragments))
-                payload = (tuple(plan_items), fragmented, created)
-        else:
-            report.components_replayed += 1
-        plan_items, fragmented, created = payload
-        report.facts_fragmented += fragmented
-        report.fragments_created += created
-        planned.extend(plan_items)
-        if log is not None:
-            log.components.record(signature, signature, payload)
+                finite.add(end)
+        if len(finite) + (1 if unbounded else 0) == 2:
+            # Every member carries the same stamp (two endpoints
+            # total): no point can fall strictly inside.
+            continue
+        cuts = sorted(finite)
+        for item in members:
+            interior = _interior_cuts(cuts, item.interval)
+            if not interior:
+                continue
+            fragments = item.fragment_sorted(interior)
+            report.facts_fragmented += 1
+            report.fragments_created += len(fragments)
+            planned.append((item, fragments))
     return planned
 
 
 def normalize_with_report(
     instance: ConcreteInstance,
     conjunctions: Iterable[TemporalConjunction],
-    previous: NormalizationLog | None = None,
-    record: bool = False,
 ) -> tuple[ConcreteInstance, NormalizationReport]:
     """Algorithm 1 ``norm(Ic, Φ+)`` with an execution report.
 
@@ -694,46 +580,21 @@ def normalize_with_report(
        components of the share-a-fact graph);
     3. fragment every fact of every component at the component's distinct
        endpoints falling strictly inside the fact's stamp.
-
-    *previous* replays an earlier run's :class:`NormalizationLog`: any
-    group or component whose facts are unchanged applies its recorded
-    decisions without re-sorting (outputs are byte-identical either
-    way).  *record* attaches this run's log to ``report.log`` for the
-    next run.
     """
-    conjunction_list = list(conjunctions)
-    replay = None
-    if (
-        previous is not None
-        and previous.conjunctions == tuple(conjunction_list)
-    ):
-        replay = previous
-    log = NormalizationLog(tuple(conjunction_list)) if record else None
     report = NormalizationReport(
-        input_size=len(instance), output_size=len(instance), log=log
+        input_size=len(instance), output_size=len(instance)
     )
 
     union_find = _FactUnionFind()
-    for conj_index, conjunction in enumerate(conjunction_list):
+    for conjunction in conjunctions:
         decoupled = conjunction.normalized()
         lifted_atoms = _lift_atoms(decoupled)
         plan = _flat_join_plan(lifted_atoms)
         if plan is not None and len(lifted_atoms) == 2:
-            _sweep_two_atom(
-                instance,
-                lifted_atoms,
-                plan,
-                conj_index,
-                union_find,
-                report,
-                replay,
-                log,
-            )
+            _sweep_two_atom(instance, lifted_atoms, plan, union_find, report)
             continue
         # Generic shapes (single atom, three-plus atoms, constants):
-        # enumerate Δ sets through the flat join — never replayed,
-        # mirroring the cross-region rule that shapes the patcher does
-        # not understand run live.
+        # enumerate Δ sets through the flat join.
         for images in _iter_decoupled_images(decoupled, instance):
             delta = tuple(dict.fromkeys(images))
             stamps = [item.interval for item in delta]
@@ -746,7 +607,7 @@ def normalize_with_report(
             for other in delta[1:]:
                 union_find.union(first, other)
 
-    planned = _plan_fragments(union_find, report, replay, log)
+    planned = _plan_fragments(union_find, report)
     # The joins above probed the instance's lifted view, so it is warm.
     # When nothing fragments (the common case for chase targets) the
     # copy carries that warm view to its consumer; when fragments will

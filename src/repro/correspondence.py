@@ -75,7 +75,6 @@ def verify_correspondence(
     shards: int = 1,
     executor: str = "serial",
     workers: int | None = None,
-    cchase_incremental=None,
 ) -> CorrespondenceReport:
     """Run both chases on one source and check Corollary 20.
 
@@ -88,18 +87,11 @@ def verify_correspondence(
     scheduler.  Sharded runs are byte-identical to the unsharded one
     (null names are Skolem terms of their firings), so they never affect
     the verdict.
-
-    *cchase_incremental* is the c-chase's fragment-level normalization
-    replay (see :func:`repro.concrete.cchase.c_chase`): a previous run's
-    replay state — e.g. ``report.concrete_result.replay_state`` from an
-    earlier verification of an overlapping source — or ``True`` to start
-    recording one; byte-identical either way.
     """
     concrete_result = c_chase(
         source,
         setting,
         normalization=normalization,  # type: ignore[arg-type]
-        incremental=cchase_incremental,
     )
     abstract_result = abstract_chase(
         semantics(source),

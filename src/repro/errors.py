@@ -59,6 +59,13 @@ class ChaseFailureError(ReproError):
             detail = f"{detail} ({context})"
         super().__init__(detail)
 
+    def __reduce__(self):
+        # Exception.__reduce__ would replay only the message string.
+        return (
+            type(self),
+            (self.dependency, self.left, self.right, self.context),
+        )
+
 
 class RemoteShardError(ReproError):
     """An exception raised inside a worker process of the ``processes``

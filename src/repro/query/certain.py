@@ -11,12 +11,9 @@ Both routes are implemented, plus a falsification helper used by tests:
 certain answers must be contained in the (plain) answers of every witness
 solution.
 
-Both routes accept a :class:`~repro.query.eval.QueryLog`.  The log
-threads replay through the whole pipeline: the concrete route passes the
-recorded :class:`~repro.concrete.cchase.CChaseReplayState` into
-``c_chase`` and stores the new state back, and both routes keep
-per-query answers in the log's ledger so a repeat call against an
-unchanged source replays instead of re-running.
+Both routes accept a :class:`~repro.query.eval.QueryLog` and keep
+per-query answers in its ledger, so a repeat call against an unchanged
+source replays the answers instead of re-evaluating them.
 """
 
 from __future__ import annotations
@@ -83,22 +80,11 @@ def certain_answers_concrete(
     (Corollary 22).  Agreement with :func:`certain_answers_abstract` is a
     theorem — and a test in this repository.
 
-    With *log*, the chase replays its recorded
-    :class:`~repro.concrete.cchase.CChaseReplayState` (normalization
-    group/fragment plans) and stores the new state back on the log, and
-    evaluation replays per-disjunct answers against the chased target —
-    so a repeat call on an unchanged source does no join work at all.
+    With *log*, evaluation replays per-disjunct answers against the
+    chased target, so a repeat call on an unchanged source does no join
+    work after the chase.
     """
-    if log is not None:
-        result = c_chase(
-            source,
-            setting,
-            incremental=log.chase if log.chase is not None else True,
-        )
-        log.chase = result.replay_state
-    else:
-        result = c_chase(source, setting)
-    solution = result.unwrap()
+    solution = c_chase(source, setting).unwrap()
     return naive_evaluate_concrete(query, solution, log=log).to_temporal()
 
 

@@ -31,10 +31,8 @@ chase already has:
   is trivially equal — Algorithm 1 never fragments anything);
 * **recorded replay** — :class:`QueryLog` keeps per-disjunct answers in a
   :class:`~repro.chase.incremental.ReplayLedger` keyed by the disjunct
-  and signed by the target facts of the disjunct's body relations, plus
-  per-disjunct :class:`~repro.concrete.normalization.NormalizationLog`
-  fragment plans and the c-chase's cross-run replay state — so repeated
-  certain-answer computation against an unchanged (or
+  and signed by the target facts of the disjunct's body relations, so
+  repeated certain-answer computation against an unchanged (or
   delta-patched-elsewhere) target replays instead of re-running.
 
 Everything here is answer-set equivalent (byte-identical) to that
@@ -64,10 +62,9 @@ from repro.abstract_view.abstract_instance import AbstractInstance
 from repro.chase.incremental import ReplayLedger
 from repro.concrete.concrete_instance import ConcreteInstance
 from repro.concrete.normalization import (
-    NormalizationLog,
     _lift_atoms,
     interval_of,
-    normalize_with_report,
+    normalize,
 )
 from repro.query.answers import (
     AnswerTuple,
@@ -329,35 +326,20 @@ def evaluate_abstract_indexed(
 class QueryLog:
     """Recorded query-evaluation state for cross-run replay.
 
-    Three ledgers, mirroring the chase-side replay contracts:
+    ``answers`` is a :class:`ReplayLedger` keyed per concrete disjunct
+    (signature: the frozenset of target facts of the disjunct's body
+    relations; payload: the disjunct's answer rows) and per abstract
+    query (key ``("abstract", query)``, signature: the universal
+    solution's templates of the query's body relations, payload: the
+    :class:`TemporalAnswerSet`).  A re-evaluation whose relevant facts
+    are unchanged — including delta-patched targets where the delta
+    missed the query's relations — returns the recorded answers.
 
-    * ``answers`` — a :class:`ReplayLedger` keyed per concrete disjunct
-      (signature: the frozenset of target facts of the disjunct's body
-      relations; payload: the disjunct's answer rows) and per abstract
-      query (key ``("abstract", query)``, signature: the universal
-      solution's templates of the query's body relations, payload: the
-      :class:`TemporalAnswerSet`).  A re-evaluation whose relevant facts
-      are unchanged — including delta-patched targets where the delta
-      missed the query's relations — returns the recorded answers.
-    * ``normalization`` — per-disjunct
-      :class:`~repro.concrete.normalization.NormalizationLog` fragment
-      plans, so an answer-signature miss still replays every unchanged
-      normalization group.
-    * ``chase`` — the c-chase's cross-run
-      :class:`~repro.concrete.cchase.CChaseReplayState`, threaded through
-      :func:`~repro.query.certain.certain_answers_concrete` so repeated
-      certain-answer calls replay the chase too.
-
-    Pickles like ``NormalizationLog`` (the CLI persists it via
-    ``--query-log``, same trust rules as ``--norm-log``: only load files
-    this tool wrote).
+    The log pickles (the CLI persists it via ``--query-log``): only load
+    files this tool wrote.
     """
 
     answers: ReplayLedger = field(default_factory=ReplayLedger)
-    normalization: dict[ConjunctiveQuery, NormalizationLog | None] = field(
-        default_factory=dict
-    )
-    chase: object | None = None
 
     @property
     def hits(self) -> int:
@@ -411,7 +393,6 @@ def _concrete_disjunct_rows(
     disjunct: ConjunctiveQuery,
     solution: ConcreteInstance,
     signature: frozenset,
-    log: QueryLog | None,
 ) -> set[tuple[AnswerTuple, Interval]]:
     """The four-step procedure for one disjunct, indexed.
 
@@ -421,7 +402,7 @@ def _concrete_disjunct_rows(
     output instance would equal the input.  Multi-atom bodies first
     consult the ambient normalization memo (signature hit: the body
     relations' facts are unchanged since the recorded fragmentation),
-    then normalize with an optional recorded fragment-plan replay.
+    and normalize on a miss.
     Step 2 (freezing) is skipped entirely: annotated nulls join as
     themselves already, and step 4's row drop becomes an ``isinstance``
     check at projection time.
@@ -435,17 +416,7 @@ def _concrete_disjunct_rows(
             memo = _NORMALIZATION_MEMO[solution] = ReplayLedger()
         normalized = memo.recall(disjunct, signature)
         if normalized is None:
-            previous = (
-                log.normalization.get(disjunct) if log is not None else None
-            )
-            normalized, report = normalize_with_report(
-                solution,
-                [lifted_conjunction],
-                previous=previous,
-                record=log is not None,
-            )
-            if log is not None:
-                log.normalization[disjunct] = report.log
+            normalized = normalize(solution, [lifted_conjunction])
             memo.record(disjunct, signature, normalized)
     lifted_atoms = _lift_atoms(lifted_conjunction)
     lifted_view = normalized.lifted()
@@ -483,8 +454,7 @@ def evaluate_concrete_indexed(
 
     With *log*, each disjunct first consults the answers ledger: a hit
     (its body relations' facts unchanged since the recorded run) returns
-    the recorded rows; a miss evaluates — replaying unchanged
-    normalization fragment plans — and records.
+    the recorded rows; a miss evaluates and records.
     """
     rows: set[tuple[AnswerTuple, Interval]] = set()
     for disjunct in _as_union(query):
@@ -494,9 +464,7 @@ def evaluate_concrete_indexed(
             if cached is not None:
                 rows.update(cached)
                 continue
-        disjunct_rows = _concrete_disjunct_rows(
-            disjunct, solution, signature, log
-        )
+        disjunct_rows = _concrete_disjunct_rows(disjunct, solution, signature)
         if log is not None:
             log.answers.record(disjunct, signature, frozenset(disjunct_rows))
         rows.update(disjunct_rows)

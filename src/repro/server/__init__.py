@@ -1,11 +1,10 @@
 """Chase-as-a-service: the resident repro daemon and its client.
 
-``python -m repro serve`` keeps chased targets and replay ledgers
-resident between requests, so a stream of source deltas costs
-incremental replay instead of from-scratch chases, repeated queries hit
-the session's answer ledger, and identical re-chases are served from a
-content-addressed cache.  See ``docs/server.md`` for the operator
-guide and the endpoint reference.
+``python -m repro serve`` keeps chased targets and answer ledgers
+resident between requests, so a source delta answers with the target
+diff, repeated queries hit the session's answer ledger, and identical
+re-chases are served from a content-addressed cache.  See
+``docs/server.md`` for the operator guide and the endpoint reference.
 """
 
 from repro.server.app import ReproServer, ServerThread, serve

@@ -8,11 +8,9 @@ earlier chase gets the recorded outcome back without touching a worker.
 The identity-only digest discipline (TDX005) is what makes the key
 stable across processes.
 
-Entries store the chase outcome as **pickled bytes** (target +
-:class:`~repro.concrete.cchase.CChaseReplayState`), not live objects:
-a hit materializes an independent object graph per session, so two
-sessions served from one entry can never alias each other's replay
-ledgers or mutate a shared target.
+Entries store the chased target as **pickled bytes**, not a live
+object: a hit materializes an independent instance per session, so two
+sessions served from one entry can never mutate a shared target.
 
 Failed chases cache too — failure is as content-determined as success,
 and a repeated doomed request should consume zero chase work.
@@ -26,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.concrete.cchase import CChaseReplayState, CChaseResult
+from repro.concrete.cchase import CChaseResult
 from repro.concrete.concrete_instance import ConcreteInstance
 
 __all__ = ["CachedChase", "ChaseCache"]
@@ -47,15 +45,15 @@ class CachedChase:
     def from_result(cls, digest: str, result: CChaseResult) -> "CachedChase":
         return cls(
             digest=digest,
-            payload=pickle.dumps((result.target, result.replay_state)),
+            payload=pickle.dumps(result.target),
             facts=len(result.target),
             steps=len(result.trace),
             failed=result.failed,
             failure=str(result.failure) if result.failure is not None else None,
         )
 
-    def materialize(self) -> tuple[ConcreteInstance, CChaseReplayState | None]:
-        """A fresh (target, replay state) object graph for one consumer."""
+    def materialize(self) -> ConcreteInstance:
+        """A fresh copy of the chased target for one consumer."""
         return pickle.loads(self.payload)
 
 

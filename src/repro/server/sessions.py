@@ -1,14 +1,12 @@
 """Named sessions: warm chased state, resident between requests.
 
 A **session** is the unit of residency: it owns the cumulative source
-instance, the chased target, the c-chase's
-:class:`~repro.concrete.cchase.CChaseReplayState` (normalization
-group/fragment plans), and a :class:`~repro.query.QueryLog` whose
+instance, the chased target, and a :class:`~repro.query.QueryLog` whose
 answer ledger is signed by the maintained target's facts.  Requests
-mutate the source by *deltas*; the chase that follows replays every
-ledger the delta left intact, and the response is the target *diff* —
-never the whole target, never a from-scratch chase when the ledgers
-apply.
+mutate the source by *deltas*; the c-chase of the new cumulative source
+follows, and the response is the target *diff* — never the whole
+target.  A query replays its recorded answers while the delta leaves
+the facts they read untouched.
 
 In front of the chase sits the :class:`~repro.server.cache.ChaseCache`:
 every chase this manager runs is keyed by the content digest of its
@@ -20,11 +18,11 @@ Locking: the manager's lock guards the session map and the process
 pool; each session's lock serializes its own chase/query/snapshot work.
 Different sessions therefore proceed concurrently (the HTTP front-end
 runs handlers on a thread pool), while one session's requests are
-strictly ordered — which is what makes its replay ledgers coherent.
+strictly ordered — which is what makes its answer ledger coherent.
 
 Snapshots are pickles (live fact/ledger objects) written only under the
 manager's spool directory and loaded only from there — the server-side
-mirror of the CLI's ``--norm-log`` trust boundary: never point the
+mirror of the CLI's ``--query-log`` trust boundary: never point the
 spool at a directory untrusted writers can reach.
 """
 
@@ -37,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.concrete.cchase import CChaseReplayState, c_chase
+from repro.concrete.cchase import c_chase
 from repro.concrete.concrete_instance import ConcreteInstance
 from repro.deltas import SourceDelta
 from repro.dependencies.mapping import DataExchangeSetting
@@ -59,8 +57,9 @@ from repro.server.protocol import ProtocolError, check_session_name
 __all__ = ["Session", "SessionManager", "SessionSnapshot", "UnknownSessionError"]
 
 #: Bumped when the pickled snapshot layout changes.
-#: 2: the snapshot carries the session's event log (PR 10).
-SNAPSHOT_FORMAT = 2
+#: 2: the snapshot carries the session's event log.
+#: 3: the snapshot no longer carries a c-chase replay state.
+SNAPSHOT_FORMAT = 3
 
 
 class UnknownSessionError(ProtocolError):
@@ -77,7 +76,6 @@ class SessionSnapshot:
     setting_json: dict
     source: ConcreteInstance
     target: ConcreteInstance
-    replay_state: CChaseReplayState | None
     query_log: QueryLog
     stats: dict[str, int]
     event_log: EventLog | None = None
@@ -92,7 +90,6 @@ class Session:
     setting_json: dict
     source: ConcreteInstance
     target: ConcreteInstance
-    replay_state: CChaseReplayState | None = None
     query_log: QueryLog = field(default_factory=QueryLog)
     stats: dict[str, int] = field(
         default_factory=lambda: {
@@ -219,24 +216,19 @@ class SessionManager:
     # -- the chase front door ---------------------------------------------
 
     def _chase(
-        self,
-        session: Session,
-        source: ConcreteInstance,
-        incremental: "CChaseReplayState | bool",
-    ) -> tuple[ConcreteInstance, CChaseReplayState | None, dict[str, Any]]:
+        self, session: Session, source: ConcreteInstance
+    ) -> tuple[ConcreteInstance, dict[str, Any]]:
         """Chase *source*, cache-first.  Raises 409 on chase failure.
 
         The cache is consulted before any work: a digest hit
-        materializes the recorded (target, replay state) and the chase
-        machinery is never touched.  A miss runs the c-chase with the
-        session's replay state attached — so even misses replay every
-        normalization group the delta left unchanged — and the outcome
+        materializes the recorded target and the chase machinery is
+        never touched.  A miss runs the c-chase, and the outcome
         (success or failure) is recorded under its digest.
         """
         digest = chase_request_digest(session.setting, source)
         cached = self.cache.get(digest)
         if cached is None:
-            result = c_chase(source, session.setting, incremental=incremental)
+            result = c_chase(source, session.setting)
             cached = CachedChase.from_result(digest, result)
             self.cache.put(cached)
             hit = False
@@ -246,14 +238,13 @@ class SessionManager:
         session.stats["chases"] += 1
         if cached.failed:
             raise ProtocolError(f"chase failed: {cached.failure}", status=409)
-        target, replay_state = cached.materialize()
         meta = {
             "digest": digest,
             "cached": hit,
             "target_facts": cached.facts,
             "chase_steps": cached.steps,
         }
-        return target, replay_state, meta
+        return cached.materialize(), meta
 
     # -- operations --------------------------------------------------------
 
@@ -289,9 +280,7 @@ class SessionManager:
             source=source,
             target=ConcreteInstance(),
         )
-        target, replay_state, meta = self._chase(probe, source, incremental=True)
-        probe.target = target
-        probe.replay_state = replay_state
+        probe.target, meta = self._chase(probe, source)
         with self._lock:
             self._sessions[name] = probe
         return {"session": probe.info(), **meta}
@@ -307,14 +296,10 @@ class SessionManager:
             source = delta.applied_to(session.source)
         except DeltaError as exc:
             raise ProtocolError(str(exc)) from exc
-        incremental = (
-            session.replay_state if session.replay_state is not None else True
-        )
-        target, replay_state, meta = self._chase(session, source, incremental)
+        target, meta = self._chase(session, source)
         target_diff = SourceDelta.between(session.target, target)
         session.source = source
         session.target = target
-        session.replay_state = replay_state
         return target_diff, meta
 
     def delta(self, name: str, delta: SourceDelta) -> dict[str, Any]:
@@ -501,7 +486,7 @@ class SessionManager:
         return {
             "session": session.name,
             "regions": len(result.region_results),
-            "templates": len(result.unwrap().templates),
+            "templates": result.template_count(),
             "replayed_matches": totals.replayed_matches,
             "live_matches": totals.live_matches,
             "shards": [
@@ -550,7 +535,6 @@ class SessionManager:
                 setting_json=session.setting_json,
                 source=session.source,
                 target=session.target,
-                replay_state=session.replay_state,
                 query_log=session.query_log,
                 stats=dict(session.stats),
                 event_log=session.event_log,
@@ -588,7 +572,6 @@ class SessionManager:
             setting_json=payload.setting_json,
             source=payload.source,
             target=payload.target,
-            replay_state=payload.replay_state,
             query_log=payload.query_log,
             stats=dict(payload.stats),
             event_log=payload.event_log,

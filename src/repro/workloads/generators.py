@@ -252,7 +252,6 @@ def overlapping_salary_history(
     salary_levels: int = 12,
     step: int = 3,
     overlap: int = 2,
-    churn: int = 0,
 ) -> EmploymentWorkload:
     """Dense E+/S+ careers driving the salary join's overlap structure.
 
@@ -270,23 +269,17 @@ def overlapping_salary_history(
     *linear* in the input.  That shape — big overlap groups, small
     fragment fan-out — is exactly where per-pair overlap enumeration is
     quadratically slower than an endpoint sweep.
-
-    ``churn > 0`` cycles the company of person 0's first *churn* jobs by
-    one, modelling a revision of a single person's history between two
-    runs: every other person's value-equivalence group is unchanged, the
-    regime fragment-level incremental normalization replays.
     """
     facts = []
     for person_id in range(people):
         name = f"p{person_id}"
         for index in range(spans):
             base = index * step
-            shift = 1 if person_id == 0 and index < churn else 0
             facts.append(
                 concrete_fact(
                     "E",
                     name,
-                    f"co{(index + shift) % companies}",
+                    f"co{index % companies}",
                     interval=Interval(base, base + step + overlap),
                 )
             )

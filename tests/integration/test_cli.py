@@ -345,18 +345,15 @@ class TestSchedulerFlags:
         assert "must be >= 1" in capsys.readouterr().err
 
     def test_verify_accepts_executor_and_incremental(
-        self, mapping_file, source_file, tmp_path, capsys
+        self, mapping_file, source_file, capsys
     ):
-        log = tmp_path / "norm.log"
         code = main(
             [
                 "verify", "--mapping", mapping_file, "--source", source_file,
                 "--shards", "2", "--executor", "threads",
-                "--norm-log", str(log),
             ]
         )
         assert code == 0
-        assert log.exists()
         captured = capsys.readouterr()
         assert "correspondence holds" in captured.out
         assert "shard 0:" in captured.err
@@ -387,141 +384,6 @@ class TestSchedulerFlags:
                     source_file, "--shards", "2",
                 ]
             )
-
-
-class TestNormLogPersistence:
-    def test_chase_writes_and_replays_log(
-        self, mapping_file, source_file, tmp_path, capsys
-    ):
-        log = tmp_path / "norm.log"
-        out1 = tmp_path / "first.json"
-        assert (
-            main(
-                [
-                    "chase",
-                    "--mapping",
-                    mapping_file,
-                    "--source",
-                    source_file,
-                    "--norm-log",
-                    str(log),
-                    "--out",
-                    str(out1),
-                ]
-            )
-            == 0
-        )
-        assert log.exists()
-        out2 = tmp_path / "second.json"
-        assert (
-            main(
-                [
-                    "chase",
-                    "--mapping",
-                    mapping_file,
-                    "--source",
-                    source_file,
-                    "--norm-log",
-                    str(log),
-                    "--out",
-                    str(out2),
-                ]
-            )
-            == 0
-        )
-        assert out1.read_text() == out2.read_text()
-
-    def test_abstract_path_rejects_norm_log(
-        self, mapping_file, source_file, tmp_path
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "chase",
-                    "--via",
-                    "abstract",
-                    "--mapping",
-                    mapping_file,
-                    "--source",
-                    source_file,
-                    "--norm-log",
-                    str(tmp_path / "norm.log"),
-                ]
-            )
-        assert "--norm-log" in str(excinfo.value)
-
-    def test_corrupt_log_is_a_clean_error(
-        self, mapping_file, source_file, tmp_path
-    ):
-        log = tmp_path / "norm.log"
-        log.write_text("definitely not a pickle")
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "chase",
-                    "--mapping",
-                    mapping_file,
-                    "--source",
-                    source_file,
-                    "--norm-log",
-                    str(log),
-                ]
-            )
-        assert "cannot read normalization log" in str(excinfo.value)
-
-    def test_verify_honors_norm_log(
-        self, mapping_file, source_file, tmp_path, capsys
-    ):
-        log = tmp_path / "norm.log"
-        assert (
-            main(
-                [
-                    "verify",
-                    "--mapping",
-                    mapping_file,
-                    "--source",
-                    source_file,
-                    "--norm-log",
-                    str(log),
-                ]
-            )
-            == 0
-        )
-        assert log.exists()
-        assert (
-            main(
-                [
-                    "verify",
-                    "--mapping",
-                    mapping_file,
-                    "--source",
-                    source_file,
-                    "--norm-log",
-                    str(log),
-                ]
-            )
-            == 0
-        )
-        assert "correspondence holds" in capsys.readouterr().out
-
-    def test_naive_normalization_rejects_norm_log(
-        self, mapping_file, source_file, tmp_path
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "chase",
-                    "--mapping",
-                    mapping_file,
-                    "--source",
-                    source_file,
-                    "--normalization",
-                    "naive",
-                    "--norm-log",
-                    str(tmp_path / "norm.log"),
-                ]
-            )
-        assert "--norm-log" in str(excinfo.value)
 
 
 class TestBrokenPipe:

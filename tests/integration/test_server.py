@@ -9,8 +9,10 @@ would hit them.
 
 import json
 import logging
+import pickle
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -233,10 +235,24 @@ class TestSnapshotEvictLoad:
         # the reloaded query ledger still replays
         again = client.query("snap", "answer(e, m) :- Reports(e, m)")
         assert again["replayed"] >= 1
-        # and the replay state still drives incremental deltas
+        # and deltas still apply to the reloaded session
         result = client.delta("snap", add=[concrete_fact_to_json(ORG_FACTS[12])])
         assert result["source_facts"] == 13
         client.evict("snap")
+
+    def test_format_two_snapshot_is_refused(self, client):
+        # Format 2 also pickled the c-chase's normalization replay
+        # state, which format 3 dropped.
+        client.create("old-format", ORG_SETTING_JSON, org_source_json(4))
+        path = Path(client.snapshot("old-format")["path"])
+        client.evict("old-format")
+        snapshot = pickle.loads(path.read_bytes())
+        snapshot.format = 2
+        path.write_bytes(pickle.dumps(snapshot))
+        with pytest.raises(ClientError) as err:
+            client.load("old-format")
+        assert err.value.status == 409
+        assert "old-format" not in [s["name"] for s in client.sessions()]
 
     def test_load_unknown_is_404(self, client):
         with pytest.raises(ClientError) as err:

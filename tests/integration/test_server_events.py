@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-from repro.chase.incremental import chase_source_delta  # noqa: F401  (doc link)
 from repro.concrete import c_chase
 from repro.events import EventLog
 from repro.serialize import concrete_instance_to_json, setting_to_json

@@ -25,23 +25,8 @@ __all__ = ["pairwise_overlaps"]
 
 @contextmanager
 def pairwise_overlaps() -> Iterator[None]:
-    """Run two-atom overlap discovery through :func:`_pairwise_two_atom`.
-
-    The reference keeps no :class:`NormalizationLog`: asking it to
-    replay or record one is a ``ValueError``.
-    """
-
-    def pairwise(
-        instance, lifted_atoms, plan, _conj_index, union_find, report, replay, log
-    ):
-        if replay is not None or log is not None:
-            raise ValueError(
-                "normalization logs require the sweep; the pairwise "
-                "reference is un-logged"
-            )
-        _pairwise_two_atom(instance, lifted_atoms, plan, union_find, report)
-
-    with patched(normalization_module, "_sweep_two_atom", pairwise):
+    """Run two-atom overlap discovery through :func:`_pairwise_two_atom`."""
+    with patched(normalization_module, "_sweep_two_atom", _pairwise_two_atom):
         yield
 
 

@@ -1,6 +1,6 @@
 """Property suite for the sweep normalization engine.
 
-Three equivalences, over adversarial interval structure (a small
+Two equivalences, over adversarial interval structure (a small
 endpoint grid forces duplicated endpoints; width-1 and horizon-touching
 intervals, bounded and unbounded, are all generated):
 
@@ -9,22 +9,13 @@ intervals, bounded and unbounded, are all generated):
   the historical per-pair enumeration (the
   :func:`~tests.oracles.normalization.pairwise_overlaps` oracle);
 * **primitives ≡ brute force** — the overlap/bipartite cluster sweeps
-  agree with quadratic pairwise enumeration on clusters and pair counts;
-* **incremental ≡ full** — replaying a recorded
-  :class:`~repro.concrete.normalization.NormalizationLog` on a churned
-  instance is byte-identical to normalizing from scratch, report counts
-  included.
+  agree with quadratic pairwise enumeration on clusters and pair counts.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concrete import (
-    ConcreteInstance,
-    c_chase,
-    concrete_fact,
-    normalize_with_report,
-)
+from repro.concrete import ConcreteInstance, concrete_fact, normalize_with_report
 from repro.relational import TemporalConjunction, parse_conjunction
 from repro.temporal import (
     INFINITY,
@@ -32,7 +23,6 @@ from repro.temporal import (
     sweep_bipartite_clusters,
     sweep_overlap_clusters,
 )
-from repro.workloads import employment_setting
 from tests.oracles.normalization import pairwise_overlaps
 
 
@@ -185,88 +175,3 @@ class TestPrimitivesAgainstBruteForce:
             for ls, rs in clusters
         )
         assert got == expected
-
-
-@st.composite
-def churned_pair(draw):
-    """A base instance and a churned variant sharing most facts."""
-    base = draw(dense_instances(max_facts=10))
-    churned = ConcreteInstance(base.facts())
-    for item in list(churned.facts()):
-        action = draw(st.integers(min_value=0, max_value=3))
-        if action == 0:
-            churned.discard(item)
-        elif action == 1:
-            churned.add(
-                concrete_fact(
-                    item.relation,
-                    *[v.value for v in item.constants()],
-                    interval=draw(grid_intervals()),
-                )
-            )
-    return base, churned
-
-
-class TestIncrementalEqualsFull:
-    @settings(max_examples=80, deadline=None)
-    @given(churned_pair(), st.sampled_from(CONJUNCTION_SETS))
-    def test_replay_is_byte_identical(self, pair, conjunctions):
-        base, churned = pair
-        _, recorded = normalize_with_report(base, conjunctions, record=True)
-        replayed, replay_report = normalize_with_report(
-            churned, conjunctions, previous=recorded.log
-        )
-        fresh, fresh_report = normalize_with_report(churned, conjunctions)
-        assert replayed.facts() == fresh.facts()
-        assert tuple(replayed) == tuple(fresh)
-        for field_name in (
-            "matched_sets",
-            "matched_pairs",
-            "components",
-            "facts_fragmented",
-            "fragments_created",
-            "output_size",
-            "groups",
-        ):
-            assert getattr(replay_report, field_name) == getattr(
-                fresh_report, field_name
-            ), field_name
-        assert replay_report.groups_replayed <= replay_report.groups
-
-    @settings(max_examples=25, deadline=None)
-    @given(churned_pair())
-    def test_cchase_replay_is_byte_identical(self, pair):
-        # End to end through the c-chase: E/S instances under the
-        # employment mapping, failures included (a churned salary chain
-        # can legitimately make the key egd equate two constants).
-        base, churned = pair
-        setting = employment_setting()
-
-        def relabel(instance):
-            result = ConcreteInstance()
-            for item in instance.facts():
-                if item.arity == 1:
-                    if item.relation == "R":
-                        relation, values = "E", [item.data[0].value, "co1"]
-                    else:
-                        # Salary varies with the stamp, so overlapping
-                        # churned chains can equate two constants and
-                        # fail the chase — the failure path replays too.
-                        relation = "S"
-                        values = [
-                            item.data[0].value,
-                            f"{item.interval.start}k",
-                        ]
-                    result.add(
-                        concrete_fact(relation, *values, interval=item.interval)
-                    )
-            return result
-
-        base_es, churned_es = relabel(base), relabel(churned)
-        first = c_chase(base_es, setting, incremental=True)
-        incremental = c_chase(churned_es, setting, incremental=first)
-        fresh = c_chase(churned_es, setting)
-        assert incremental.failed == fresh.failed
-        assert incremental.target == fresh.target
-        assert tuple(incremental.target) == tuple(fresh.target)
-        assert len(incremental.trace) == len(fresh.trace)

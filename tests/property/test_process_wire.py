@@ -30,7 +30,7 @@ from repro.abstract_view.abstract_chase import (
 )
 from repro.chase.incremental import IncrementalRegionChaser, RegionReuseStats
 from repro.dependencies import DataExchangeSetting
-from repro.errors import ShardExecutionError
+from repro.errors import ChaseFailureError, ShardExecutionError
 from repro.relational import (
     AnnotatedNull,
     Constant,
@@ -350,3 +350,49 @@ class TestWireKeeps:
         serial = abstract_chase(source, JOIN_SETTING)
         assert procs.target.templates == serial.target.templates
         assert all(piece._payload is None for piece in pieces)
+
+
+class TestTemplateCount:
+    """``template_count`` is the merged target's size, counted without
+    running the deferred merge or loading a worker's nested pickles."""
+
+    @staticmethod
+    def source():
+        return semantics(
+            random_employment_history(people=4, timeline=24, seed=5).instance
+        )
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+    def test_count_equals_merged_templates(self, shared_pool, pooled, shards):
+        result = abstract_chase(
+            self.source(),
+            JOIN_SETTING,
+            shards=shards,
+            executor=shared_pool if pooled else "serial",
+        )
+        count = result.template_count()
+        assert result.target._templates_cache is None  # the merge waits
+        assert count == len(result.unwrap().templates) > 0
+
+    def test_counting_loads_no_pickle(self, shared_pool):
+        procs = abstract_chase(
+            self.source(), JOIN_SETTING, shards=2, executor=shared_pool
+        )
+        assert procs.template_count() > 0
+        results = list(procs.region_results.values())
+        pieces = procs.target._templates_source
+        assert results and pieces
+        assert all(result._pairs._payload is not None for result in results)
+        assert all(piece._payload is not None for piece in pieces)
+
+    def test_failed_chase_raises_like_unwrap(self, shared_pool):
+        source = AbstractInstance(
+            [
+                TemplateFact("E", (Constant("a"), Constant("b")), Interval(0, 4)),
+                TemplateFact("E", (Constant("a"), Constant("c")), Interval(2, 6)),
+            ]
+        )
+        procs = abstract_chase(source, CLASH_SETTING, shards=2, executor=shared_pool)
+        with pytest.raises(ChaseFailureError):
+            procs.template_count()

@@ -1,6 +1,8 @@
 """Unit tests for the content-addressed chase cache (repro.server.cache)."""
 
-from repro.concrete import c_chase
+import pickle
+
+from repro.concrete import ConcreteInstance, c_chase
 from repro.serialize import chase_request_digest
 from repro.server.cache import CachedChase, ChaseCache
 from repro.workloads import employment_setting, employment_source_concrete
@@ -13,7 +15,7 @@ def entry() -> CachedChase:
     setting = employment_setting()
     source = employment_source_concrete()
     digest = chase_request_digest(setting, source)
-    result = c_chase(source, setting, incremental=True)
+    result = c_chase(source, setting)
     return CachedChase.from_result(digest, result)
 
 
@@ -25,15 +27,18 @@ class TestCachedChase:
         assert entry.steps > 0
 
     def test_materialize_is_independent(self, entry):
-        target_one, state_one = entry.materialize()
-        target_two, state_two = entry.materialize()
+        target_one = entry.materialize()
+        target_two = entry.materialize()
+        assert isinstance(target_one, ConcreteInstance)
         assert target_one is not target_two
-        assert state_one is not state_two
         assert list(target_one) == list(target_two)
         # mutating one consumer's copy must not leak into the next
         target_one.discard(next(iter(target_one)))
-        fresh, _ = entry.materialize()
-        assert len(fresh) == entry.facts
+        assert len(entry.materialize()) == entry.facts
+
+    def test_entry_pickles_the_target_only(self, entry):
+        target = c_chase(employment_source_concrete(), employment_setting()).target
+        assert entry.payload == pickle.dumps(target)
 
 
 class TestChaseCache:

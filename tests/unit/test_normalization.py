@@ -264,81 +264,3 @@ class TestSweepEngineAndLog:
         _, report = normalize_with_report(inst, [tc("R(x) & R(y)")])
         assert report.matched_pairs == 4
         assert report.matched_sets == 1  # one overlap set {f, g}
-
-    def test_pairwise_rejects_logging(self):
-        inst = ConcreteInstance()
-        with pairwise_overlaps(), pytest.raises(ValueError):
-            normalize_with_report(inst, [tc("R(x) & S(x)")], record=True)
-
-    def test_record_and_replay_counts(self):
-        inst = ConcreteInstance(
-            [
-                concrete_fact("R", "a", interval=Interval(1, 5)),
-                concrete_fact("S", "a", interval=Interval(3, 9)),
-                concrete_fact("R", "b", interval=Interval(10, 12)),
-                concrete_fact("S", "b", interval=Interval(20, 22)),
-            ]
-        )
-        conjs = [tc("R(x) & S(x)")]
-        out1, rec = normalize_with_report(inst, conjs, record=True)
-        assert rec.log is not None
-        assert rec.groups == 2 and rec.groups_replayed == 0
-        out2, rep = normalize_with_report(inst, conjs, previous=rec.log)
-        assert out2 == out1
-        assert rep.groups_replayed == rep.groups == 2
-        assert rep.components_replayed == rep.components
-        assert rep.matched_pairs == rec.matched_pairs
-        assert rep.matched_sets == rec.matched_sets
-
-    def test_partial_churn_replays_untouched_groups(self):
-        shared = [
-            concrete_fact("R", "a", interval=Interval(1, 5)),
-            concrete_fact("S", "a", interval=Interval(3, 9)),
-        ]
-        base = ConcreteInstance(
-            [*shared,
-             concrete_fact("R", "b", interval=Interval(1, 5)),
-             concrete_fact("S", "b", interval=Interval(3, 9))]
-        )
-        churned = ConcreteInstance(
-            [*shared,
-             concrete_fact("R", "b", interval=Interval(2, 5)),
-             concrete_fact("S", "b", interval=Interval(3, 9))]
-        )
-        conjs = [tc("R(x) & S(x)")]
-        _, rec = normalize_with_report(base, conjs, record=True)
-        replayed, rep = normalize_with_report(churned, conjs, previous=rec.log)
-        fresh, fresh_rep = normalize_with_report(churned, conjs)
-        assert replayed == fresh
-        assert rep.groups == 2 and rep.groups_replayed == 1
-        assert rep.fragments_created == fresh_rep.fragments_created
-
-    def test_log_for_other_conjunctions_is_ignored(self):
-        inst = ConcreteInstance(
-            [
-                concrete_fact("R", "a", interval=Interval(1, 5)),
-                concrete_fact("S", "a", interval=Interval(3, 9)),
-            ]
-        )
-        _, rec = normalize_with_report(inst, [tc("R(x) & S(x)")], record=True)
-        out, rep = normalize_with_report(
-            inst, [tc("R(x) & S(y)")], previous=rec.log
-        )
-        assert rep.groups_replayed == 0
-        assert out == normalize(inst, [tc("R(x) & S(y)")])
-
-    def test_replayed_log_chains_forward(self):
-        inst = ConcreteInstance(
-            [
-                concrete_fact("R", "a", interval=Interval(1, 5)),
-                concrete_fact("S", "a", interval=Interval(3, 9)),
-            ]
-        )
-        conjs = [tc("R(x) & S(x)")]
-        _, first = normalize_with_report(inst, conjs, record=True)
-        _, second = normalize_with_report(
-            inst, conjs, previous=first.log, record=True
-        )
-        assert second.log is not None
-        _, third = normalize_with_report(inst, conjs, previous=second.log)
-        assert third.groups_replayed == third.groups

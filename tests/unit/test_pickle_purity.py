@@ -1,13 +1,20 @@
 """Regression tests: cached-state classes pickle identity fields only.
 
-PR 5's replay bug was a cached salted ``Interval`` hash crossing a
-process boundary inside a pickle; these tests pin the fix pattern for
-every class the invariant linter (TDX001) flags as caching derived
-state: warming the caches must not change the pickled bytes, and the
-unpickled object must come back with its caches unset.
+A cached salted ``Interval`` hash once crossed a process boundary inside
+a pickle and silently turned every cross-process replay into a miss;
+these tests pin the fix pattern for every class the invariant linter
+(TDX001) flags as caching derived state: warming the caches must not
+change the pickled bytes, and the unpickled object must come back with
+its caches unset.  :class:`TestInterval` replays the original failure
+across two ``PYTHONHASHSEED`` values.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from repro.abstract_view.abstract_instance import TemplateFact
 from repro.dependencies.dependency import EGD, SourceToTargetTGD
@@ -16,6 +23,7 @@ from repro.relational.formulas import Atom, TemporalConjunction
 from repro.relational.schema import Schema
 from repro.relational.terms import Constant, Variable
 from repro.temporal.interval import Interval
+from repro.temporal.timepoint import INFINITY
 
 
 def roundtrip(value):
@@ -140,3 +148,60 @@ class TestDataExchangeSetting:
         assert "_snapshot_egd_tasks" not in clone.__dict__
         assert "_concrete_egd_tasks" not in clone.__dict__
         assert clone == warmed
+
+
+class TestInterval:
+    def make(self) -> Interval:
+        # Unbounded: Infinity hashes through a salted string hash.
+        return Interval(3, INFINITY)
+
+    def test_warm_hash_not_pickled(self):
+        fresh = self.make()
+        warmed = self.make()
+        hash(warmed)
+        assert warmed.__dict__.get("_hash")
+        assert pickle.dumps(warmed) == pickle.dumps(fresh)
+        assert "_hash" not in roundtrip(warmed).__dict__
+
+    def test_pickled_facts_match_under_another_hash_seed(self, tmp_path):
+        # Pickle a set of warm-hashed facts under one seed and probe it
+        # under another: a stale cached hash would file the loaded facts
+        # in the wrong buckets, and the probe would miss.
+        script = textwrap.dedent(
+            """
+            import pickle, sys
+            from repro.concrete import concrete_fact
+            from repro.temporal import interval
+
+            path, mode = sys.argv[1], sys.argv[2]
+            facts = frozenset(
+                [
+                    concrete_fact("E", "ada", "co1", interval=interval(3)),
+                    concrete_fact("S", "bob", "13k", interval=interval(2, 6)),
+                ]
+            )
+            if mode == "record":
+                for item in facts:
+                    hash(item)
+                with open(path, "wb") as handle:
+                    pickle.dump(facts, handle)
+            else:
+                with open(path, "rb") as handle:
+                    loaded = pickle.load(handle)
+                assert loaded == facts
+                assert all(item in loaded for item in facts)
+            """
+        )
+        path = tmp_path / "facts.pkl"
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        for seed, mode in (("101", "record"), ("202", "probe")):
+            env["PYTHONHASHSEED"] = seed
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path), mode],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=root,
+            )
+            assert proc.returncode == 0, (mode, proc.stderr)

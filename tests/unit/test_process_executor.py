@@ -6,6 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.abstract_view import AbstractInstance, TemplateFact, abstract_chase, semantics
+from repro.chase.union_find import AnnotationMismatchError, ConstantClashError
 from repro.concrete import ConcreteInstance, concrete_fact
 from repro.dependencies import DataExchangeSetting
 from repro.errors import (
@@ -15,12 +16,20 @@ from repro.errors import (
     ShardExecutionError,
 )
 from repro.relational import Constant, Instance, Schema, fact
+from repro.relational.terms import AnnotatedNull
 from repro.temporal import Interval
 from repro.workloads import exchange_setting_org, random_org_history
 from tests.oracles.chase import per_region_chase
 
 
 ORG_SETTING = exchange_setting_org()
+
+
+class _RejectsItsArgs(Exception):
+    """Pickles, but its ``__init__`` rejects the args pickle replays."""
+
+    def __init__(self, code: str, detail: str):
+        super().__init__(f"{code}: {detail}")
 
 CLASH_SETTING = DataExchangeSetting.create(
     Schema.of(E=("Name", "Dept")),
@@ -215,11 +224,43 @@ class TestPickleSupport:
         assert clone.__cause__.exc_type == "Local"
 
     def test_shard_execution_error_with_cause_that_fails_to_load(self):
-        # ChaseFailureError pickles, but its __init__ rejects the args
-        # pickle replays on load; the stand-in must take its place.
-        cause = ChaseFailureError("ε1", Constant("a"), Constant("b"))
+        # The cause pickles, but its __init__ rejects the args pickle
+        # replays on load; the stand-in must take its place.
+        cause = _RejectsItsArgs("E42", "disk on fire")
         error = ShardExecutionError(1, Interval(0, 3), cause)
         clone = pickle.loads(pickle.dumps(error))
         assert isinstance(clone.__cause__, RemoteShardError)
-        assert clone.__cause__.exc_type == "ChaseFailureError"
+        assert clone.__cause__.exc_type == "_RejectsItsArgs"
+        assert str(clone) == str(error)
+        # A chase failure error survives the trip, so it arrives as itself.
+        cause = ChaseFailureError("ε1", Constant("a"), Constant("b"))
+        clone = pickle.loads(pickle.dumps(ShardExecutionError(1, None, cause)))
+        assert isinstance(clone.__cause__, ChaseFailureError)
+        assert str(clone.__cause__) == str(cause)
+
+    def test_chase_failure_error_round_trips(self):
+        error = ChaseFailureError(
+            "ε1", Constant("a"), Constant("b"), context="shard 0"
+        )
+        clone = pickle.loads(pickle.dumps(error))
+        assert (clone.dependency, clone.left, clone.right, clone.context) == (
+            "ε1",
+            Constant("a"),
+            Constant("b"),
+            "shard 0",
+        )
+        assert str(clone) == str(error)
+
+    def test_constant_clash_error_round_trips(self):
+        error = ConstantClashError(Constant("a"), Constant("b"))
+        clone = pickle.loads(pickle.dumps(error))
+        assert (clone.left, clone.right) == (Constant("a"), Constant("b"))
+        assert str(clone) == str(error)
+
+    def test_annotation_mismatch_error_round_trips(self):
+        left = AnnotatedNull("N1", Interval(0, 3))
+        right = AnnotatedNull("N1", Interval(3, 5))
+        error = AnnotationMismatchError(left, right)
+        clone = pickle.loads(pickle.dumps(error))
+        assert (clone.left, clone.right) == (left, right)
         assert str(clone) == str(error)

@@ -1,58 +1,15 @@
-"""Unit tests for the shared replay-state persistence (repro.state)."""
+"""Unit tests for the query-log persistence (repro.state)."""
 
 import json
+import pickle
 
 import pytest
 
 from repro.cli import main
-from repro.concrete import CChaseReplayState, c_chase
-from repro.query import QueryLog
+from repro.query import ConjunctiveQuery, QueryLog, certain_answers_concrete
 from repro.serialize import concrete_instance_to_json, setting_to_json
-from repro.state import (
-    StateError,
-    load_chase_state,
-    load_query_log,
-    save_chase_state,
-    save_query_log,
-)
+from repro.state import StateError, load_query_log, save_query_log
 from repro.workloads import employment_setting, employment_source_concrete
-
-
-class TestChaseStateRoundTrip:
-    def test_absent_file_means_record_fresh(self, tmp_path):
-        assert load_chase_state(str(tmp_path / "missing.pkl")) is True
-
-    def test_round_trip(self, tmp_path):
-        result = c_chase(
-            employment_source_concrete(), employment_setting(), incremental=True
-        )
-        path = tmp_path / "state.pkl"
-        save_chase_state(str(path), result.replay_state)
-        loaded = load_chase_state(str(path))
-        assert isinstance(loaded, CChaseReplayState)
-        replayed = c_chase(
-            employment_source_concrete(), employment_setting(), incremental=loaded
-        )
-        assert list(replayed.target) == list(result.target)
-
-    def test_save_none_is_a_no_op(self, tmp_path):
-        path = tmp_path / "state.pkl"
-        save_chase_state(str(path), None)
-        assert not path.exists()
-
-    def test_wrong_payload_type_is_a_state_error(self, tmp_path):
-        path = tmp_path / "state.pkl"
-        import pickle
-
-        path.write_bytes(pickle.dumps({"not": "a state"}))
-        with pytest.raises(StateError, match="normalization log"):
-            load_chase_state(str(path))
-
-    def test_garbage_bytes_are_a_state_error(self, tmp_path):
-        path = tmp_path / "state.pkl"
-        path.write_bytes(b"not a pickle at all")
-        with pytest.raises(StateError):
-            load_chase_state(str(path))
 
 
 class TestQueryLogRoundTrip:
@@ -66,13 +23,25 @@ class TestQueryLogRoundTrip:
         save_query_log(str(path), log)
         assert isinstance(load_query_log(str(path)), QueryLog)
 
+    def test_wrong_payload_type_is_a_state_error(self, tmp_path):
+        path = tmp_path / "log.pkl"
+        path.write_bytes(pickle.dumps({"not": "a log"}))
+        with pytest.raises(StateError, match="query log"):
+            load_query_log(str(path))
+
+    def test_garbage_bytes_are_a_state_error(self, tmp_path):
+        path = tmp_path / "log.pkl"
+        path.write_bytes(b"not a pickle at all")
+        with pytest.raises(StateError, match="cannot read query log"):
+            load_query_log(str(path))
+
 
 class TestCliServerLedgerParity:
-    """The CLI and the server persist ledgers through the same helper.
+    """The CLI persists its ledger through :mod:`repro.state`.
 
-    Regression for the shared-state extraction: a chase driven through
-    the CLI's ``--norm-log`` flag and one driven through
-    :mod:`repro.state` directly must produce identical ledger files.
+    A query driven through the CLI's ``--query-log`` flag and one driven
+    through :mod:`repro.state` directly must produce identical ledger
+    files.
     """
 
     def test_identical_ledger_files(self, tmp_path):
@@ -82,32 +51,35 @@ class TestCliServerLedgerParity:
         source.write_text(
             json.dumps(concrete_instance_to_json(employment_source_concrete()))
         )
+        rule = "q(n, s) :- Emp(n, c, s)"
         cli_log = tmp_path / "cli.pkl"
         code = main(
             [
-                "chase",
+                "query",
                 "--mapping",
                 str(mapping),
                 "--source",
                 str(source),
-                "--out",
-                str(tmp_path / "out.json"),
-                "--norm-log",
+                "--query",
+                rule,
+                "--query-log",
                 str(cli_log),
             ]
         )
         assert code == 0
 
-        # Same inputs the CLI saw (through the JSON codec), chased
+        # Same inputs the CLI saw (through the JSON codec), answered
         # directly and persisted through repro.state.
         from repro.serialize import concrete_instance_from_json, setting_from_json
 
         direct_log = tmp_path / "direct.pkl"
-        result = c_chase(
+        log = QueryLog()
+        certain_answers_concrete(
+            ConjunctiveQuery.parse(rule),
             concrete_instance_from_json(json.loads(source.read_text())),
             setting_from_json(json.loads(mapping.read_text())),
-            incremental=True,
+            log=log,
         )
-        save_chase_state(str(direct_log), result.replay_state)
+        save_query_log(str(direct_log), log)
 
         assert cli_log.read_bytes() == direct_log.read_bytes()
