@@ -21,9 +21,10 @@
 #                        (stdlib-only; TDX001-TDX006, see docs/architecture.md)
 #   make serve         - run the resident chase daemon on $(SERVE_PORT)
 #                        (chase-as-a-service; see docs/server.md)
-#   make verify-server - the daemon's end-to-end suite + a 10 s
-#                        perfbench delta_churn run (fails if an output
-#                        check or the cache-defeat guard fails)
+#   make verify-server - the daemon's end-to-end suites (sessions and
+#                        events) + a 10 s perfbench delta_churn run
+#                        (fails if an output check or the
+#                        cache-defeat guard fails)
 #   make verify        - test + bench-smoke + verify-incremental + analyze
 #
 # CI (.github/workflows/ci.yml) runs exactly these targets — test and
@@ -82,7 +83,8 @@ serve:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro serve --port $(SERVE_PORT)
 
 verify-server:
-	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -q tests/integration/test_server.py
+	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -q tests/integration/test_server.py \
+		tests/integration/test_server_events.py
 	$(PYTHON) perfbench/run.py --workload delta_churn --seed 1 --seconds 10
 
 lint:

@@ -56,6 +56,18 @@ def _canonical_side(facts: Iterable[ConcreteFact], side: str) -> tuple[ConcreteF
     return tuple(ordered)
 
 
+def _missing_from(
+    instance: ConcreteInstance, other: ConcreteInstance
+) -> tuple[ConcreteFact, ...]:
+    """The facts of *instance* that *other* lacks, in bucket order."""
+    return tuple(
+        item
+        for relation in instance.relation_names()
+        for item in instance.iter_facts_of(relation)
+        if item not in other
+    )
+
+
 @dataclass(frozen=True)
 class SourceDelta:
     """A strict add/remove change to a concrete source instance."""
@@ -86,12 +98,13 @@ class SourceDelta:
     ) -> "SourceDelta":
         """The delta taking *old* to *new*; empty iff the two are equal.
 
-        Instance iteration is content-sorted, so the result is canonical
-        regardless of how either instance was built.
+        Each side is a set difference over the unsorted relation
+        buckets; only the difference is sorted (by the constructor), so
+        the result is canonical regardless of how either instance was
+        built and a small change to a large instance costs no sort of
+        the whole instance.
         """
-        add = tuple(item for item in new if item not in old)
-        remove = tuple(item for item in old if item not in new)
-        return cls(add=add, remove=remove)
+        return cls(add=_missing_from(new, old), remove=_missing_from(old, new))
 
     # -- codec -------------------------------------------------------------
 

@@ -39,9 +39,8 @@ leaves the log exactly as it was.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.concrete.concrete_fact import concrete_fact
 from repro.concrete.concrete_instance import ConcreteInstance

@@ -3,7 +3,7 @@
 ``python -m repro serve`` keeps chased targets and answer ledgers
 resident between requests, so a source delta answers with the target
 diff, repeated queries hit the session's answer ledger, and identical
-re-chases are served from a content-addressed cache.  See
+creates are served from a content-addressed cache.  See
 ``docs/server.md`` for the operator guide and the endpoint reference.
 """
 

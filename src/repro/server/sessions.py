@@ -8,11 +8,13 @@ follows, and the response is the target *diff* — never the whole
 target.  A query replays its recorded answers while the delta leaves
 the facts they read untouched.
 
-In front of the chase sits the :class:`~repro.server.cache.ChaseCache`:
-every chase this manager runs is keyed by the content digest of its
-(setting, cumulative source), so an identical re-chase — a second
-session created from the same inputs, or a delta that returns a session
-to a previous state — is served from the cache without any chase work.
+In front of the create path sits the
+:class:`~repro.server.cache.ChaseCache`: a create is keyed by the
+content digest of its (setting, source), so a second session created
+from the same inputs is served from the cache without any chase work.
+A delta never consults the cache: its cumulative source is new almost
+every time, so the write path chases directly and keeps the live
+result as the session's target — no digest, no pickle round trip.
 
 Locking: the manager's lock guards the session map and the process
 pool; each session's lock serializes its own chase/query/snapshot work.
@@ -218,7 +220,7 @@ class SessionManager:
     def _chase(
         self, session: Session, source: ConcreteInstance
     ) -> tuple[ConcreteInstance, dict[str, Any]]:
-        """Chase *source*, cache-first.  Raises 409 on chase failure.
+        """Chase a create's *source*, cache-first.  Raises 409 on failure.
 
         The cache is consulted before any work: a digest hit
         materializes the recorded target and the chase machinery is
@@ -291,15 +293,25 @@ class SessionManager:
         """Apply *delta* to the session's source and re-chase (locked by
         the caller).  Returns the *target* diff as a delta plus the
         chase metadata; the session is untouched if anything fails.
+
+        The chase bypasses the cache: the live result becomes the
+        session's target, so a warm write costs one chase and a diff.
         """
         try:
             source = delta.applied_to(session.source)
         except DeltaError as exc:
             raise ProtocolError(str(exc)) from exc
-        target, meta = self._chase(session, source)
-        target_diff = SourceDelta.between(session.target, target)
+        result = c_chase(source, session.setting)
+        session.stats["chases"] += 1
+        if result.failed:
+            raise ProtocolError(f"chase failed: {result.failure}", status=409)
+        target_diff = SourceDelta.between(session.target, result.target)
         session.source = source
-        session.target = target
+        session.target = result.target
+        meta = {
+            "target_facts": len(result.target),
+            "chase_steps": len(result.trace),
+        }
         return target_diff, meta
 
     def delta(self, name: str, delta: SourceDelta) -> dict[str, Any]:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.abstract_view import abstract_chase, semantics
 from repro.cli import main
-from repro.concrete import ConcreteInstance
+from repro.concrete import ConcreteInstance, concrete_fact
 from repro.query import ConjunctiveQuery
 from repro.serialize import (
     concrete_fact_to_json,
@@ -28,10 +28,12 @@ from repro.serialize import (
 )
 from repro.server import ClientError, ServerClient, ServerThread
 from repro.server.sessions import _answers_to_json
+from repro.temporal import interval
 from repro.workloads import (
     employment_setting,
     employment_source_concrete,
     exchange_setting_org,
+    org_event_mapping,
     random_org_history,
 )
 from tests.oracles import query as scan_oracle
@@ -218,6 +220,69 @@ class TestCache:
         )
         client.evict("alias-a")
         client.evict("alias-b")
+
+
+class TestWritePath:
+    """A write chases directly: the cache serves creates only."""
+
+    def test_delta_and_events_leave_the_cache_alone(self, client):
+        client.create("write-path", ORG_SETTING_JSON, {"facts": []})
+        before = client.stats()["cache"]
+        delta = client.delta(
+            "write-path", add=[concrete_fact_to_json(fact) for fact in ORG_FACTS[:6]]
+        )
+        hire = {
+            "id": "e1",
+            "entity_id": "p9",
+            "event_type": "created",
+            "timestamp": 0,
+            "payload": {"type": "employee", "dept": "d1"},
+        }
+        events = client.events(
+            "write-path", [hire], mapping=org_event_mapping().to_json()
+        )
+        assert events["chased"] is True
+        after = client.stats()["cache"]
+        assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
+        info = client.info("write-path")
+        for reply in (delta, events):
+            assert reply["target_facts"] > 0
+            assert reply["chase_steps"] > 0
+            assert "digest" not in reply and "cached" not in reply
+        assert events["target_facts"] == info["target_facts"]
+        client.evict("write-path")
+
+    def test_failing_delta_is_409_and_leaves_the_session(self, client):
+        from repro.workloads import medical_conflicting_scenario
+
+        scenario = medical_conflicting_scenario()
+        conflict = concrete_fact("Diag", "alice", "flutter", interval=interval(5, 8))
+        source = scenario.source.copy()
+        assert source.discard(conflict)
+        client.create(
+            "ward",
+            setting_to_json(scenario.setting),
+            concrete_instance_to_json(source),
+        )
+        source_facts = client.info("ward")["source_facts"]
+        target = client.target("ward")
+        with pytest.raises(ClientError) as err:
+            client.delta("ward", add=[concrete_fact_to_json(conflict)])
+        assert err.value.status == 409
+        assert client.info("ward")["source_facts"] == source_facts
+        assert canonical(client.target("ward")) == canonical(target)
+
+        # The next valid delta diffs against the pre-failure target.
+        removal = concrete_fact("Diag", "alice", "arrhythmia", interval=interval(4, 10))
+        reply = client.delta("ward", remove=[concrete_fact_to_json(removal)])
+        served = {canonical(item) for item in target["facts"]}
+        removed = {canonical(item) for item in reply["diff"]["remove"]}
+        added = {canonical(item) for item in reply["diff"]["add"]}
+        assert removed and removed <= served
+        assert not added & (served - removed)
+        after = {canonical(item) for item in client.target("ward")["facts"]}
+        assert after == (served - removed) | added
+        client.evict("ward")
 
 
 class TestSnapshotEvictLoad:

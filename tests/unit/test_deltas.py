@@ -6,6 +6,7 @@ from repro.concrete import ConcreteInstance, concrete_fact
 from repro.deltas import SourceDelta
 from repro.errors import DeltaError
 from repro.temporal import interval
+from tests.oracles.deltas import sorted_between
 
 
 def f(name, *values, start=0, end=None):
@@ -54,6 +55,39 @@ class TestBetween:
     def test_identity(self):
         instance = inst(f("R", "x"))
         assert SourceDelta.between(instance, instance).is_empty
+
+    def test_relation_in_one_instance_only(self):
+        old = inst(f("R", "x"), f("R", "y"))
+        new = inst(f("R", "x"), f("T", "z", "w", start=2, end=5))
+        delta = SourceDelta.between(old, new)
+        assert delta.add == (f("T", "z", "w", start=2, end=5),)
+        assert delta.remove == (f("R", "y"),)
+        assert delta == sorted_between(old, new)
+
+    def test_empty_side(self):
+        full = inst(f("R", "x"), f("S", "y", start=1, end=3))
+        grow = SourceDelta.between(ConcreteInstance(), full)
+        assert grow.add == tuple(full) and grow.remove == ()
+        shrink = SourceDelta.between(full, ConcreteInstance())
+        assert shrink.remove == tuple(full) and shrink.add == ()
+        assert SourceDelta.between(ConcreteInstance(), ConcreteInstance()).is_empty
+
+    def test_several_relations(self):
+        old = inst(
+            f("R", "b"), f("R", "a"), f("S", "y", start=4, end=6),
+            f("S", "y", start=0, end=2), f("U", "q"),
+        )
+        new = inst(
+            f("R", "c"), f("R", "a"), f("S", "y", start=0, end=2),
+            f("S", "y", start=2, end=4), f("T", "z"), f("U", "q"),
+        )
+        delta = SourceDelta.between(old, new)
+        assert delta.add == (
+            f("R", "c"), f("S", "y", start=2, end=4), f("T", "z"),
+        )
+        assert delta.remove == (f("R", "b"), f("S", "y", start=4, end=6))
+        assert delta == sorted_between(old, new)
+        assert delta.applied_to(old) == new
 
 
 class TestApply:
